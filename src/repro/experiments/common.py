@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ..analysis import ProgramAttributeDatabase
 from ..calibrate import ModelCalibration, fit_model_calibration
 from ..machines import PLATFORM_P8_K80, PLATFORM_P9_V100, Platform, platform_by_name
+from ..mca.scheduler import clear_steady_state_memo
 from ..models import SelectionPrediction, predict_both
 from ..parallel import (
     SweepEngine,
@@ -82,6 +83,7 @@ def clear_caches(*, persistent: bool = True) -> None:
     _PREDICT_CACHE.clear()
     _DB_CACHE.clear()
     _CAL_CACHE.clear()
+    clear_steady_state_memo()
     if persistent:
         shutdown_pools()
         cache = current_cache()

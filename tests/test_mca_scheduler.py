@@ -1,10 +1,21 @@
 """Unit tests for the MCA scoreboard scheduler."""
 
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.experiments.common import clear_caches, measure_suite, predict_suite
 from repro.machines import POWER8, POWER9
-from repro.mca import MachineOp, schedule_ops, steady_state_cycles, unroll
+from repro.mca import (
+    OPCODE_PORT,
+    MachineOp,
+    schedule_ops,
+    steady_state_cycles,
+    unroll,
+)
+from repro.mca import lowering, scheduler
+from repro.parallel import AnalysisCache
 
 
 def op(opcode, dest=-1, srcs=()):
@@ -72,6 +83,13 @@ class TestScheduleOps:
         res = schedule_ops(ops, POWER9)
         assert res.bottleneck(POWER9) == "LS"
 
+    def test_pressure_of_zero_unit_port_uses_one_unit(self):
+        # the scheduler runs max(1, count) units; pressure must agree
+        cpu = dataclasses.replace(POWER9, ports={**POWER9.ports, "FP": 0})
+        res = schedule_ops([op("fadd", 0)], cpu)
+        assert res.pressure(cpu)["FP"] == 1.0 / res.total_cycles
+        assert res.bottleneck(cpu) == "FP"
+
     def test_latency_override(self):
         ops = [op("load", 0), op("fadd", 1, (0,))]
         base = schedule_ops(ops, POWER9).total_cycles
@@ -132,3 +150,187 @@ class TestSteadyState:
         cyc = steady_state_cycles(body, POWER9)
         # 2 FP pipes: n ops take at least n/2 and at most n cycles + slack
         assert n / 2 - 0.6 <= cyc <= n + 1
+
+    @pytest.mark.parametrize("arg", ["warmup", "measure"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_copy_counts_below_one_rejected(self, arg, value):
+        for body in ([op("fadd", 0, (0,))], []):
+            with pytest.raises(ValueError, match=arg):
+                steady_state_cycles(body, POWER9, **{arg: value})
+
+
+# ---------------------------------------------------------------------------
+# Differential: the fused single-pass kernel against the two-schedule floor
+# ---------------------------------------------------------------------------
+
+
+def reference_steady_state(body, cpu, carried, warmup, measure, latency_of):
+    """The definition: difference of two independent unrolled schedules."""
+    short = schedule_ops(
+        unroll(body, warmup, carried), cpu, latency_of=latency_of
+    ).total_cycles
+    long = schedule_ops(
+        unroll(body, warmup + measure, carried), cpu, latency_of=latency_of
+    ).total_cycles
+    return max((long - short) / measure, 0.05)
+
+
+def fused(body, cpu, carried, warmup, measure, latency_of):
+    scheduler.clear_steady_state_memo()  # compute, never replay
+    return steady_state_cycles(
+        body,
+        cpu,
+        carried_regs=carried,
+        warmup=warmup,
+        measure=measure,
+        latency_of=latency_of,
+    )
+
+
+_REGS = 6
+
+
+@st.composite
+def scoreboard_inputs(draw):
+    # a small register file makes reads of registers written later in the
+    # body, rewrites and loop-carried chains common
+    n = draw(st.integers(1, 8))
+    body = [
+        MachineOp(
+            draw(st.sampled_from(sorted(OPCODE_PORT))),
+            draw(st.integers(-1, _REGS - 1)),
+            tuple(draw(st.lists(st.integers(0, _REGS - 1), max_size=3))),
+        )
+        for _ in range(n)
+    ]
+    carried = frozenset(draw(st.sets(st.integers(0, _REGS - 1))))
+    # drop some ports (the scheduler then runs one unit) and zero others
+    ports = {
+        port: count
+        for port, count in POWER9.ports.items()
+        if draw(st.booleans()) or port == "FP"
+    }
+    ports = {p: draw(st.sampled_from([c, 0, 1, 3])) for p, c in ports.items()}
+    cpu = dataclasses.replace(
+        POWER9, dispatch_width=draw(st.sampled_from([0, 1, 2, 3, 8])), ports=ports
+    )
+    override = draw(
+        st.none()
+        | st.dictionaries(
+            st.sampled_from(sorted(OPCODE_PORT)),
+            st.sampled_from([0.5, 1.25, 2.75, 7.0, 13.5, 41.3]),
+        )
+    )
+    latency_of = (
+        None
+        if override is None
+        else lambda o: override.get(o.opcode, float(cpu.latency(o.opcode)))
+    )
+    warmup = draw(st.integers(1, 5))
+    measure = draw(st.integers(1, 8))
+    return body, cpu, carried, warmup, measure, latency_of
+
+
+class TestFusedKernelDifferential:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(args=scoreboard_inputs())
+    def test_matches_two_schedule_reference(self, args):
+        assert fused(*args) == reference_steady_state(*args)
+
+    def test_every_suite_leaf_body_matches(self, monkeypatch):
+        """Every leaf body the test-mode suite schedules, on POWER8 and
+        POWER9, under the simulator's and the model's latency overrides
+        and under none."""
+        seen = []
+        real = lowering.steady_state_cycles
+
+        def record(body, cpu, *, carried_regs, latency_of=None):
+            seen.append((list(body), cpu, carried_regs, latency_of))
+            return real(body, cpu, carried_regs=carried_regs, latency_of=latency_of)
+
+        monkeypatch.setattr(lowering, "steady_state_cycles", record)
+        clear_caches()
+        for platform in ("p9-v100", "p8-k80"):
+            measure_suite(platform, "test")  # sim/cpu_sim.py override
+            predict_suite(platform, "test")  # models/cpu_model.py override
+        clear_caches()
+        assert {cpu.name for _, cpu, _, _ in seen} == {"POWER8", "POWER9"}
+        assert all(lat is not None for *_, lat in seen)
+
+        checked = set()
+        for body, cpu, carried, latency_of in seen:
+            for lat in (latency_of, None):
+                lats = tuple(
+                    float(lat(o) if lat else cpu.latency(o.opcode)) for o in body
+                )
+                key = (tuple(body), cpu.name, carried, lats)
+                if key in checked:
+                    continue
+                checked.add(key)
+                args = (body, cpu, carried, 4, 16, lat)
+                assert fused(*args) == reference_steady_state(*args), body
+        assert len(checked) > 50
+
+
+# ---------------------------------------------------------------------------
+# The in-process memo behind the persistent analysis cache
+# ---------------------------------------------------------------------------
+
+
+_BODY = [
+    MachineOp("load", 0, (), "load A[i]"),
+    MachineOp("fma", 1, (0, 1), "acc"),
+]
+
+
+class TestSteadyStateMemo:
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_clear_caches_empties_memo(self, persistent):
+        steady_state_cycles(_BODY, POWER9, carried_regs=frozenset({1}))
+        assert len(scheduler._STEADY_STATE_MEMO) == 1
+        clear_caches(persistent=persistent)
+        assert scheduler._STEADY_STATE_MEMO == {}
+
+    def test_memo_never_short_circuits_the_analysis_cache(self, tmp_path):
+        expected = steady_state_cycles(_BODY, POWER9)  # memo now warm
+        cold = AnalysisCache(str(tmp_path))
+        with cold.activate():
+            assert steady_state_cycles(_BODY, POWER9) == expected
+            assert (cold.hits, cold.misses, cold.writes) == (0, 1, 1)
+            assert steady_state_cycles(_BODY, POWER9) == expected
+            assert (cold.hits, cold.misses) == (1, 1)
+        warm = AnalysisCache(str(tmp_path))
+        with warm.activate():
+            assert steady_state_cycles(_BODY, POWER9) == expected
+        assert (warm.hits, warm.misses) == (1, 0)
+
+    def test_descriptors_differing_outside_the_scoreboard_share_an_entry(self):
+        variant = dataclasses.replace(
+            POWER9, name="POWER9-variant", frequency_ghz=2.0, l1_kib=64, cores=4
+        )
+        assert steady_state_cycles(_BODY, POWER9) == steady_state_cycles(
+            _BODY, variant
+        )
+        assert len(scheduler._STEADY_STATE_MEMO) == 1
+
+    def test_scoreboard_fields_are_part_of_the_key(self):
+        steady_state_cycles(_BODY, POWER9)
+        steady_state_cycles(
+            _BODY, dataclasses.replace(POWER9, dispatch_width=1)
+        )
+        steady_state_cycles(
+            _BODY, dataclasses.replace(POWER9, ports={**POWER9.ports, "LS": 1})
+        )
+        steady_state_cycles(
+            _BODY, POWER9, latency_of=lambda o: 9.5 if o.is_memory else 6.0
+        )
+        steady_state_cycles(_BODY, POWER9, carried_regs=frozenset({1}))
+        steady_state_cycles(_BODY, POWER9, warmup=2)
+        steady_state_cycles(_BODY, POWER9, measure=8)
+        assert len(scheduler._STEADY_STATE_MEMO) == 7
