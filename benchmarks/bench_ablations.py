@@ -1,24 +1,16 @@
 """Ablation benches: what each framework ingredient contributes."""
 
 import pytest
+from conftest import run_printed
 
 from repro.experiments import run_ablations
-
-_printed = set()
-
-
-def _run(mode):
-    result = run_ablations(mode)
-    if mode not in _printed:
-        print()
-        print(result.render())
-        _printed.add(mode)
-    return result
 
 
 @pytest.mark.parametrize("mode", ["test", "benchmark"])
 def test_ablations(benchmark, mode):
-    result = benchmark.pedantic(_run, args=(mode,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_printed, args=(run_ablations, mode), rounds=1, iterations=1
+    )
     full = result.score("full")
     # the full framework must be a usable selector
     assert full.decision_accuracy >= 0.6

@@ -9,24 +9,16 @@ case predicted 0.913x against a true 1.48x).
 """
 
 import pytest
+from conftest import run_printed
 
 from repro.experiments import run_figure8
-
-_printed = set()
-
-
-def _run(mode):
-    result = run_figure8(mode)
-    if mode not in _printed:
-        print()
-        print(result.render())
-        _printed.add(mode)
-    return result
 
 
 @pytest.mark.parametrize("mode", ["test", "benchmark"])
 def test_figure8_regeneration(benchmark, mode):
-    result = benchmark.pedantic(_run, args=(mode,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_printed, args=(run_figure8, mode), rounds=1, iterations=1
+    )
     gms = result.geomeans()
     # the paper's headline: model-guided selection beats always-offload
     assert gms["model-guided"] >= gms["always-gpu"] * 0.999

@@ -1,167 +1,28 @@
 """Scores the traffic-replay chaos grid at production scale.
 
-Checks the invariants the replay subsystem promises (docs/ROBUSTNESS.md):
-
-* every chaos scenario keeps steady-state selection accuracy within the
-  stored drop of the no-chaos baseline, detects each chaos window within
-  the stored fraction of its duration, and recovers within the stored
-  simulated-seconds bound after it closes;
-* every scenario's dispatch-overhead p99 is finite and no overhead
-  observation is nonfinite;
-* the overload scenarios keep the admission-queue depth bounded by its
-  capacity while visibly shedding / degrading / deferring traffic;
-* the hedged-chaos scenario arms speculative host backups, wins at least
-  the stored number of races, strictly cuts the chaos-affected p99
-  completion latency vs its unhedged twin, and duplicates at most the
-  stored fraction of served seconds;
-* a seeded rerun of the whole grid is byte-identical.
-
-The thresholds live in ``benchmarks/traffic_thresholds.json`` so CI
-fails on a regression without editing code.  ``python
-benchmarks/bench_replay.py`` runs the full 10^5-requests-per-scenario
-grid and writes ``BENCH_traffic.json``; ``--tiny`` is the 2000-request
-CI smoke target (same checks, smaller trace).
+Gates on :meth:`repro.experiments.ReplayResult.failures` (thresholds in
+``repro.experiments.replay``, docs/ROBUSTNESS.md): chaos scenarios keep
+steady-state accuracy, detect and recover within bounds; overhead tails
+stay finite; overload scenarios bound the queue while shedding /
+degrading / deferring; the hedged arm wins under bounded duplicated
+work.  ``python benchmarks/bench_replay.py`` runs the 10^5-requests-per-
+scenario grid, checks a seeded rerun is byte-identical and writes
+``BENCH_traffic.json``; ``--tiny`` is the 2000-request CI smoke target.
 """
 
-import json
-import math
 import sys
-from pathlib import Path
+
+from conftest import grid_main, run_printed
 
 from repro.experiments import run_replay
 
-THRESHOLDS_PATH = Path(__file__).resolve().parent / "traffic_thresholds.json"
-
-_printed = False
-
-
-def load_thresholds() -> dict:
-    return json.loads(THRESHOLDS_PATH.read_text())
-
-
-def check(result, thresholds: dict) -> list[str]:
-    """Every threshold violation in the grid, as human-readable strings."""
-    max_drop = thresholds["max_accuracy_drop"]
-    max_ttd_fraction = thresholds["max_ttd_fraction"]
-    max_ttr_s = thresholds["max_ttr_s"]
-    min_hedge_wins = thresholds["min_hedge_wins"]
-    max_hedge_extra = thresholds["max_hedge_extra_fraction"]
-    failures: list[str] = []
-    for row in result.rows:
-        s = row.score
-        if s.overhead_nonfinite:
-            failures.append(
-                f"{row.scenario}: {s.overhead_nonfinite} nonfinite "
-                "dispatch-overhead observations"
-            )
-        if not math.isfinite(s.overhead_p99_s):
-            failures.append(f"{row.scenario}: dispatch-overhead p99 not finite")
-        if row.flavour == "baseline":
-            if s.fault_events or s.fallbacks:
-                failures.append(f"{row.scenario}: chaos-free baseline faulted")
-            if s.shed_fraction or s.degraded_fraction:
-                failures.append(f"{row.scenario}: chaos-free baseline shed traffic")
-        elif row.flavour == "chaos":
-            if row.accuracy_drop > max_drop:
-                failures.append(
-                    f"{row.scenario}: steady accuracy dropped "
-                    f"{row.accuracy_drop:.4f} > {max_drop} vs baseline"
-                )
-            for w in s.windows:
-                duration = w.stop_s - w.start_s
-                if not w.detected:
-                    failures.append(f"{row.scenario}: window never detected")
-                elif w.ttd_s > max_ttd_fraction * duration:
-                    failures.append(
-                        f"{row.scenario}: ttd {w.ttd_s:.3f}s > "
-                        f"{max_ttd_fraction:g} x {duration:.3f}s window"
-                    )
-                if not w.recovered:
-                    failures.append(f"{row.scenario}: never recovered")
-                elif w.ttr_s > max_ttr_s:
-                    failures.append(
-                        f"{row.scenario}: ttr {w.ttr_s:.3f}s > {max_ttr_s}s"
-                    )
-        elif row.flavour == "hedged":
-            u = row.unhedged
-            if u is None or s.hedged == 0:
-                failures.append(f"{row.scenario}: no backups armed")
-            elif s.hedge_wins < min_hedge_wins:
-                failures.append(
-                    f"{row.scenario}: {s.hedge_wins} hedge wins < "
-                    f"{min_hedge_wins}"
-                )
-            elif s.chaos_completion_p99_s >= u.chaos_completion_p99_s:
-                failures.append(
-                    f"{row.scenario}: chaos p99 {s.chaos_completion_p99_s:.6f}s "
-                    f"not below unhedged {u.chaos_completion_p99_s:.6f}s"
-                )
-            if s.hedge_extra_fraction > max_hedge_extra:
-                failures.append(
-                    f"{row.scenario}: duplicated-work fraction "
-                    f"{s.hedge_extra_fraction:.4f} > {max_hedge_extra}"
-                )
-        else:  # overload
-            if row.capacity is not None and s.max_queue_depth > row.capacity:
-                failures.append(
-                    f"{row.scenario}: queue depth {s.max_queue_depth} "
-                    f"exceeded capacity {row.capacity}"
-                )
-            if row.scenario == "overload-reject" and s.shed_fraction == 0.0:
-                failures.append("overload-reject: nothing shed")
-            if row.scenario == "overload-degrade" and s.degraded_fraction == 0.0:
-                failures.append("overload-degrade: nothing degraded to host")
-            if row.scenario == "overload-defer" and (
-                s.deferred == 0 or s.resumed == 0
-            ):
-                failures.append("overload-defer: nothing deferred and resumed")
-    return failures
-
-
-def _run():
-    global _printed
-    result = run_replay()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_replay_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
-    assert check(result, load_thresholds()) == []
-    assert result.passed
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Smoke entry point: full or tiny grid, no pytest-benchmark needed."""
-    args = sys.argv[1:] if argv is None else argv
-    thresholds = load_thresholds()
-    launches = 2_000 if "--tiny" in args else thresholds["min_launches"]
-    result = run_replay(launches=launches)
-    print(result.render())
-    failures = check(result, thresholds)
-    # determinism gate: the identical seeded invocation must serialize to
-    # the exact same bytes
-    rerun = run_replay(launches=launches)
-    first = json.dumps(result.to_payload(), sort_keys=True)
-    second = json.dumps(rerun.to_payload(), sort_keys=True)
-    identical = first == second
-    if not identical:
-        failures.append("seeded rerun is not byte-identical")
-    payload = {
-        **result.to_payload(),
-        "thresholds": thresholds,
-        "rerun_identical": identical,
-    }
-    out = Path("BENCH_traffic.json")
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    result = benchmark.pedantic(run_printed, args=(run_replay,), rounds=1, iterations=1)
+    assert result.failures() == []
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(
+        grid_main("traffic", run_replay, {"launches": 100_000}, {"launches": 2_000})
+    )

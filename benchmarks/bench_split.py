@@ -6,6 +6,10 @@ parallel band and quantify the cooperative win over the best single
 device.
 """
 
+from dataclasses import dataclass
+
+from conftest import run_printed
+
 from repro.analysis import ProgramAttributeDatabase
 from repro.calibrate import fit_model_calibration
 from repro.machines import PLATFORM_P9_V100
@@ -13,18 +17,14 @@ from repro.models import predict_split
 from repro.polybench import all_kernel_cases
 from repro.util import render_table
 
-_printed = False
 
+@dataclass(frozen=True)
+class SplitSweep:
+    """Predicted cooperative splits of the benchmark-size suite."""
 
-def _run():
-    global _printed
-    cal = fit_model_calibration(PLATFORM_P9_V100)
-    db = ProgramAttributeDatabase()
-    results = []
-    for case in all_kernel_cases("benchmark"):
-        bound = db.compile_region(case.region).bind(case.env)
-        results.append(predict_split(bound, PLATFORM_P9_V100, calibration=cal))
-    if not _printed:
+    splits: list
+
+    def render(self) -> str:
         rows = [
             [
                 s.region_name,
@@ -32,22 +32,29 @@ def _run():
                 f"{s.speedup_over_best_single:.2f}x",
                 "yes" if s.worthwhile else "no",
             ]
-            for s in results
+            for s in self.splits
         ]
-        print()
-        print(
-            render_table(
-                ["kernel", "best GPU share", "vs best single device", "worth it"],
-                rows,
-                title="Cooperative split predictions (POWER9+V100, benchmark)",
-            )
+        return render_table(
+            ["kernel", "best GPU share", "vs best single device", "worth it"],
+            rows,
+            title="Cooperative split predictions (POWER9+V100, benchmark)",
         )
-        _printed = True
-    return results
+
+
+def predict_splits() -> SplitSweep:
+    cal = fit_model_calibration(PLATFORM_P9_V100)
+    db = ProgramAttributeDatabase()
+    splits = []
+    for case in all_kernel_cases("benchmark"):
+        bound = db.compile_region(case.region).bind(case.env)
+        splits.append(predict_split(bound, PLATFORM_P9_V100, calibration=cal))
+    return SplitSweep(splits)
 
 
 def test_split_extension(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        run_printed, args=(predict_splits,), rounds=1, iterations=1
+    ).splits
     assert len(results) == 24
     for s in results:
         # splitting can never be predicted worse than the best single device

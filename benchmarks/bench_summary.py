@@ -1,22 +1,12 @@
 """The live claim scorecard: every shape-level paper claim must hold."""
 
+from conftest import run_printed
+
 from repro.experiments import run_summary
-
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_summary()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
 
 
 def test_summary_scorecard(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_printed, args=(run_summary,), rounds=1, iterations=1)
     assert len(result.claims) >= 9
     failing = [c.claim for c in result.claims if not c.holds]
     assert result.all_hold, f"claims regressed: {failing}"

@@ -1,60 +1,24 @@
 """Scores declared vs dataflow-inferred transfer sizing (docs/LINT.md).
 
-Checks the contract of the array-liveness analysis end to end:
-
-* the clean Polybench suite keeps byte-identical sizing and identical
-  selector decisions under ``inferred_transfers=True``;
-* every over-mapped scenario tightens (never widens) both directions;
-* at least one scenario flips the selector decision onto the true
-  oracle target while recovering real transfer seconds.
-
-``python benchmarks/bench_transfers.py`` prints the report without
-pytest — the CI smoke target.
+Gates on :meth:`repro.experiments.TransfersResult.failures`: the clean
+suite keeps byte-identical sizing and decisions, every over-mapped
+scenario only tightens, and the dead debug buffer flips the selector
+onto the oracle under MAP004.  ``python benchmarks/bench_transfers.py``
+runs the test-mode report, checks a seeded rerun is byte-identical and
+writes ``BENCH_transfers.json`` (``--tiny`` is the same report).
 """
 
 import sys
 
+from conftest import grid_main, run_printed
+
 from repro.experiments import run_transfers
-
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_transfers()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
 
 
 def test_transfers_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
-
-    # clean maps: inference must not move a byte or a decision
-    assert all(row.agrees for row in result.suite)
-
-    # scenarios: inference only drops transfers, never invents them
-    for row in result.scenarios:
-        assert row.tightened
-        assert row.wasted_seconds >= 0
-
-    # the defensively-mapped vecadd recovers its wasted copy-in
-    defensive = result.scenario("defensive-tofrom")
-    assert defensive.inferred_to_device < defensive.declared_to_device
-    assert "MAP002" in defensive.map_codes
-
-    # the dead debug buffer flips the selector onto the oracle target
-    deadbuf = result.scenario("dead-debug-buffer")
-    assert deadbuf.fixed and deadbuf.wasted_seconds > 0
-    assert "MAP004" in deadbuf.map_codes
-
-    assert result.passed
+    result = benchmark.pedantic(run_printed, args=(run_transfers,), rounds=1, iterations=1)
+    assert result.failures() == []
 
 
 if __name__ == "__main__":
-    result = _run()
-    ok = result.passed
-    print(f"\nself-check: {'PASS' if ok else 'FAIL'}")
-    sys.exit(0 if ok else 1)
+    sys.exit(grid_main("transfers", run_transfers, {}, {}))

@@ -34,74 +34,51 @@ from .util import add_format_argument, emit_rows
 
 __all__ = ["main", "build_parser"]
 
-_ARTEFACTS = (
-    "table1",
-    "table2",
-    "table3",
-    "figure3",
-    "figure45",
-    "figure6",
-    "figure7",
-    "figure8",
-    "ablations",
-    "summary",
-    "crossgen",
-    "faults",
-)
+#: artefact -> (experiments runner, rendered for both dataset modes?)
+_ARTEFACTS = {
+    "table1": ("run_table1", False),
+    "table2": ("run_table2", False),
+    "table3": ("run_table3", False),
+    "figure3": ("run_figure3", False),
+    "figure45": ("run_figure45", False),
+    "figure6": ("run_figure6", False),
+    "figure7": ("run_figure7", False),
+    "figure8": ("run_figure8", True),
+    "ablations": ("run_ablations", True),
+    "summary": ("run_summary", False),
+    "crossgen": ("run_crossgen", True),
+    "faults": ("run_faults", False),
+}
 
 
-def _render_artefact(name: str) -> tuple[str, bool]:
-    """Render one artefact; the flag is its self-check verdict (if any)."""
-    from . import experiments as ex
-
-    if name == "table1":
-        return ex.run_table1().render(), True
-    if name == "table2":
-        return ex.run_table2().render(), True
-    if name == "table3":
-        return ex.run_table3().render(), True
-    if name == "figure3":
-        return ex.run_figure3().render(), True
-    if name == "figure45":
-        return ex.run_figure45().render(), True
-    if name == "figure6":
-        return ex.run_figure6().render(), True
-    if name == "figure7":
-        return ex.run_figure7().render(), True
-    if name == "figure8":
-        return "\n\n".join(
-            ex.run_figure8(mode).render() for mode in ("test", "benchmark")
-        ), True
-    if name == "ablations":
-        return "\n\n".join(
-            ex.run_ablations(mode).render() for mode in ("test", "benchmark")
-        ), True
-    if name == "summary":
-        return ex.run_summary().render(), True
-    if name == "crossgen":
-        return "\n\n".join(
-            ex.run_crossgen(mode).render() for mode in ("test", "benchmark")
-        ), True
-    if name == "faults":
-        result = ex.run_faults()
-        return result.render(), result.passed
-    raise KeyError(name)  # pragma: no cover - argparse restricts choices
+def _self_check(command: str, result) -> int:
+    """Report ``result.failures()`` on stderr; the command's exit code."""
+    failures = result.failures()
+    if failures:
+        print(f"self-check FAILED: {command}", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_artefact(args) -> int:
-    names = _ARTEFACTS if args.artefact == "all" else (args.artefact,)
-    failed = []
+    from . import experiments as ex
+
+    names = list(_ARTEFACTS) if args.artefact == "all" else [args.artefact]
+    code = 0
     for i, name in enumerate(names):
         if i:
             print()
-        text, ok = _render_artefact(name)
-        print(text)
-        if not ok:
-            failed.append(name)
-    if failed:
-        print(f"self-check FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+        runner, both_modes = _ARTEFACTS[name]
+        run = getattr(ex, runner)
+        if both_modes:
+            print("\n\n".join(run(m).render() for m in ("test", "benchmark")))
+            continue
+        result = run()
+        print(result.render())
+        if hasattr(result, "failures"):
+            code |= _self_check(name, result)
+    return code
 
 
 def _cmd_select(args) -> int:
@@ -165,38 +142,6 @@ def _cmd_lint(args) -> int:
     return 1 if any(r.has_errors for r in reports) else 0
 
 
-def _cmd_transfers(args) -> int:
-    from .experiments import run_transfers
-    from .util import emit_json
-
-    result = run_transfers(
-        platform=platform_by_name(args.platform),
-        mode=args.mode,
-        num_threads=args.threads,
-    )
-    if args.format == "json":
-        print(emit_json(result.to_payload()))
-    else:
-        print(result.render())
-    return 0 if result.passed else 1
-
-
-def _cmd_drift(args) -> int:
-    from .experiments import run_drift
-    from .util import emit_json
-
-    result = run_drift(
-        platform=platform_by_name(args.platform),
-        launches=args.launches,
-        start=args.start,
-    )
-    if args.format == "json":
-        print(emit_json(result.to_payload()))
-    else:
-        print(result.render())
-    return 0 if result.passed else 1
-
-
 def _cmd_trace(args) -> int:
     from .experiments import run_trace
 
@@ -218,111 +163,54 @@ def _cmd_trace(args) -> int:
         )
     else:
         print(out)
-    return 0 if result.passed else 1
+    return _self_check("trace", result)
 
 
-def _cmd_replay(args) -> int:
-    from .experiments import run_replay
+#: what ``--launches`` counts, per traffic grid
+_LAUNCH_UNIT = {"replay": "scenario", "service": "scenario", "hedge": "arm"}
+#: parsed options that steer the CLI rather than the experiment
+_CLI_ONLY = {"command", "func", "format", "output", "tiny", "cache_dir"}
+
+
+def _grid_kwargs(args) -> dict:
+    """The ``run_<command>`` keywords, straight from the parsed options."""
+    kwargs = {k: v for k, v in vars(args).items() if k not in _CLI_ONLY}
+    kwargs["platform"] = platform_by_name(args.platform)
+    if getattr(args, "tiny", False):
+        kwargs["launches"] = 2_000
+    if "threads" in kwargs:
+        kwargs["num_threads"] = kwargs.pop("threads")
+    scenarios = kwargs.pop("scenarios", None)
+    if scenarios:
+        kwargs["scenarios"] = tuple(
+            s.strip() for s in scenarios.split(",") if s.strip()
+        )
+    return kwargs
+
+
+def _cmd_grid(args) -> int:
+    """replay/service/hedge/drift/transfers: run, emit, self-check."""
+    from . import experiments as ex
     from .util import emit_json
 
-    launches = 2_000 if args.tiny else args.launches
-    extra = {}
-    if args.scenarios:
-        extra["scenarios"] = tuple(
-            s.strip() for s in args.scenarios.split(",") if s.strip()
-        )
-    result = run_replay(
-        launches=launches,
-        seed=args.seed,
-        platform=platform_by_name(args.platform),
-        utilization=args.utilization,
-        overload_utilization=args.overload_utilization,
-        capacity=args.capacity,
-        jobs=args.jobs,
-        chunk=args.chunk,
-        **extra,
-    )
+    kwargs = _grid_kwargs(args)
+    result = getattr(ex, f"run_{args.command}")(**kwargs)
     out = (
         emit_json(result.to_payload())
         if args.format == "json"
         else result.render()
     )
-    if args.output:
-        with open(args.output, "w") as fh:
+    output = getattr(args, "output", None)
+    if output:
+        with open(output, "w") as fh:
             fh.write(out + "\n")
         print(
-            f"wrote replay {args.format} report "
-            f"({launches} requests/scenario) to {args.output}"
+            f"wrote {args.command} {args.format} report ({kwargs['launches']} "
+            f"requests/{_LAUNCH_UNIT[args.command]}) to {output}"
         )
     else:
         print(out)
-    return 0 if result.passed else 1
-
-
-def _cmd_service(args) -> int:
-    from .experiments import run_service
-    from .util import emit_json
-
-    launches = 2_000 if args.tiny else args.launches
-    extra = {}
-    if args.scenarios:
-        extra["scenarios"] = tuple(
-            s.strip() for s in args.scenarios.split(",") if s.strip()
-        )
-    result = run_service(
-        launches=launches,
-        seed=args.seed,
-        platform=platform_by_name(args.platform),
-        tenants=args.tenants,
-        utilization=args.utilization,
-        burst_utilization=args.burst_utilization,
-        jobs=args.jobs,
-        chunk=args.chunk,
-        **extra,
-    )
-    out = (
-        emit_json(result.to_payload())
-        if args.format == "json"
-        else result.render()
-    )
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out + "\n")
-        print(
-            f"wrote service {args.format} report "
-            f"({launches} requests/scenario) to {args.output}"
-        )
-    else:
-        print(out)
-    return 0 if result.passed else 1
-
-
-def _cmd_hedge(args) -> int:
-    from .experiments import run_hedge
-    from .util import emit_json
-
-    launches = 2_000 if args.tiny else args.launches
-    result = run_hedge(
-        launches=launches,
-        seed=args.seed,
-        platform=platform_by_name(args.platform),
-        utilization=args.utilization,
-    )
-    out = (
-        emit_json(result.to_payload())
-        if args.format == "json"
-        else result.render()
-    )
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out + "\n")
-        print(
-            f"wrote hedge {args.format} report "
-            f"({launches} requests/arm) to {args.output}"
-        )
-    else:
-        print(out)
-    return 0 if result.passed else 1
+    return _self_check(args.command, result)
 
 
 def _cmd_cache(args) -> int:
@@ -398,6 +286,47 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _grid_parser(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A self-checking grid subcommand, run by :func:`_cmd_grid`."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--platform", default="p9-v100")
+    parser.set_defaults(func=_cmd_grid)
+    return parser
+
+
+def _traffic_parser(sub, name: str, help: str, *extra) -> argparse.ArgumentParser:
+    """A replayed-trace grid: the shared trace knobs plus ``extra``
+    ``(flag, type, default, help)`` options, ``--tiny`` and ``-o``."""
+    parser = _grid_parser(sub, name, help)
+    parser.add_argument(
+        "--launches",
+        type=int,
+        default=20_000,
+        help=f"requests per {_LAUNCH_UNIT[name]} (default: 20000)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--utilization",
+        type=float,
+        default=0.6,
+        help="steady-state offered load (default: 0.6)",
+    )
+    for flag, kind, default, text in extra:
+        parser.add_argument(flag, type=kind, default=default, help=text)
+    parser.add_argument(
+        "--tiny",
+        action="store_true",
+        help="2000-request smoke grid (the CI target)",
+    )
+    parser.add_argument(
+        "-o",
+        "--output",
+        default=None,
+        help="write the report to a file instead of stdout",
+    )
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-paper",
@@ -406,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     art = sub.add_parser("artefact", help="regenerate a paper table/figure")
-    art.add_argument("artefact", choices=_ARTEFACTS + ("all",))
+    art.add_argument("artefact", choices=(*_ARTEFACTS, "all"))
     _add_parallel_arguments(art)
     art.set_defaults(func=_cmd_artefact)
     # artefact names also work as top-level commands
-    for name in _ARTEFACTS + ("all",):
+    for name in (*_ARTEFACTS, "all"):
         p = sub.add_parser(name, help=f"regenerate {name}")
         _add_parallel_arguments(p)
         p.set_defaults(func=_cmd_artefact, artefact=name)
@@ -446,32 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_format_argument(lint)
     lint.set_defaults(func=_cmd_lint)
 
-    xfers = sub.add_parser(
+    xfers = _grid_parser(
+        sub,
         "transfers",
-        help=(
-            "compare declared vs dataflow-inferred transfer sizing "
-            "(exit 1 when the self-check fails)"
-        ),
+        "compare declared vs dataflow-inferred transfer sizing "
+        "(exit 1 when the self-check fails)",
     )
-    xfers.add_argument("--platform", default="p9-v100")
     xfers.add_argument("--mode", default="test", choices=("test", "benchmark"))
     xfers.add_argument("--threads", type=int, default=None)
     add_format_argument(xfers)
-    xfers.set_defaults(func=_cmd_transfers)
 
-    drift = sub.add_parser(
+    drift = _grid_parser(
+        sub,
         "drift",
-        help=(
-            "run the drift-sentinel scenario grid "
-            "(exit 1 when a self-check fails)"
-        ),
+        "run the drift-sentinel scenario grid (exit 1 when a self-check fails)",
     )
-    drift.add_argument("--platform", default="p9-v100")
     drift.add_argument(
-        "--launches",
-        type=int,
-        default=96,
-        help="launches per arm (default: 96)",
+        "--launches", type=int, default=96, help="launches per arm (default: 96)"
     )
     drift.add_argument(
         "--start",
@@ -480,152 +400,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="launch index at which the calibration skew begins (default: 24)",
     )
     add_format_argument(drift)
-    drift.set_defaults(func=_cmd_drift)
 
-    replay = sub.add_parser(
+    replay = _traffic_parser(
+        sub,
         "replay",
-        help=(
-            "replay a seeded traffic trace under the chaos scenario grid "
-            "(exit 1 when a self-check fails)"
-        ),
-    )
-    replay.add_argument("--platform", default="p9-v100")
-    replay.add_argument(
-        "--launches",
-        type=int,
-        default=20_000,
-        help="requests per scenario (default: 20000)",
-    )
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument(
-        "--utilization",
-        type=float,
-        default=0.6,
-        help="steady-state offered load (default: 0.6)",
-    )
-    replay.add_argument(
-        "--overload-utilization",
-        type=float,
-        default=3.0,
-        help="offered load of the overload scenarios (default: 3.0)",
-    )
-    replay.add_argument(
-        "--capacity",
-        type=int,
-        default=32,
-        help="admission-queue bound for the overload scenarios (default: 32)",
-    )
-    replay.add_argument(
-        "--tiny",
-        action="store_true",
-        help="2000-request smoke grid (the CI target)",
-    )
-    replay.add_argument(
-        "--scenarios",
-        default=None,
-        help=(
-            "comma-separated subset of the scenario grid "
-            "(the steady baseline is always required)"
-        ),
-    )
-    replay.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="write the report to a file instead of stdout",
+        "replay a seeded traffic trace under the chaos scenario grid "
+        "(exit 1 when a self-check fails)",
+        ("--overload-utilization", float, 3.0,
+         "offered load of the overload scenarios (default: 3.0)"),
+        ("--capacity", int, 32,
+         "admission-queue bound for the overload scenarios (default: 32)"),
+        ("--scenarios", str, None,
+         "comma-separated subset of the scenario grid "
+         "(the steady baseline is always required)"),
     )
     _add_parallel_arguments(replay)
     add_format_argument(replay)
-    replay.set_defaults(func=_cmd_replay)
 
-    service = sub.add_parser(
+    service = _traffic_parser(
+        sub,
         "service",
-        help=(
-            "replay a multi-tenant trace through the offload service, "
-            "twinned against the legacy FIFO (exit 1 when a self-check "
-            "fails)"
-        ),
-    )
-    service.add_argument("--platform", default="p9-v100")
-    service.add_argument(
-        "--launches",
-        type=int,
-        default=20_000,
-        help="requests per scenario (default: 20000)",
-    )
-    service.add_argument("--seed", type=int, default=0)
-    service.add_argument(
-        "--tenants",
-        type=int,
-        default=3,
-        help="concurrent tenants issuing the trace (default: 3)",
-    )
-    service.add_argument(
-        "--utilization",
-        type=float,
-        default=0.6,
-        help="steady-state offered load (default: 0.6)",
-    )
-    service.add_argument(
-        "--burst-utilization",
-        type=float,
-        default=1.6,
-        help="offered load of the burst scenarios (default: 1.6)",
-    )
-    service.add_argument(
-        "--tiny",
-        action="store_true",
-        help="2000-request smoke grid (the CI target)",
-    )
-    service.add_argument(
-        "--scenarios",
-        default=None,
-        help="comma-separated subset of the tenant-mix × load-shape grid",
-    )
-    service.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="write the report to a file instead of stdout",
+        "replay a multi-tenant trace through the offload service, twinned "
+        "against the legacy FIFO (exit 1 when a self-check fails)",
+        ("--tenants", int, 3,
+         "concurrent tenants issuing the trace (default: 3)"),
+        ("--burst-utilization", float, 1.6,
+         "offered load of the burst scenarios (default: 1.6)"),
+        ("--scenarios", str, None,
+         "comma-separated subset of the tenant-mix × load-shape grid"),
     )
     _add_parallel_arguments(service)
     add_format_argument(service)
-    service.set_defaults(func=_cmd_service)
 
-    hedge = sub.add_parser(
+    hedge = _traffic_parser(
+        sub,
         "hedge",
-        help=(
-            "replay chaos with and without speculative host backups over "
-            "a deadline-budget sweep (exit 1 when a self-check fails)"
-        ),
-    )
-    hedge.add_argument("--platform", default="p9-v100")
-    hedge.add_argument(
-        "--launches",
-        type=int,
-        default=20_000,
-        help="requests per arm (default: 20000)",
-    )
-    hedge.add_argument("--seed", type=int, default=0)
-    hedge.add_argument(
-        "--utilization",
-        type=float,
-        default=0.6,
-        help="steady-state offered load (default: 0.6)",
-    )
-    hedge.add_argument(
-        "--tiny",
-        action="store_true",
-        help="2000-request smoke grid (the CI target)",
-    )
-    hedge.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="write the report to a file instead of stdout",
+        "replay chaos with and without speculative host backups over a "
+        "deadline-budget sweep (exit 1 when a self-check fails)",
     )
     add_format_argument(hedge)
-    hedge.set_defaults(func=_cmd_hedge)
 
     trace = sub.add_parser(
         "trace",

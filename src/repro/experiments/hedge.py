@@ -21,7 +21,9 @@ causal:
 
 Per cell the grid reports the hedge-rate, win-rate, duplicated-work
 fraction, the chaos-affected p99 completion latency of both arms, and
-both arms' expiry counts.  Gates (:attr:`HedgeCell.ok`): every cell
+both arms' expiry counts.  Gates (:meth:`HedgeResult.failures`, the one
+verdict behind :attr:`HedgeCell.ok`, the CLI and
+``benchmarks/bench_hedge.py``): every cell
 arms at least one backup and stays under
 :data:`~.replay.MAX_HEDGE_EXTRA_FRACTION` duplicated work; the
 unbudgeted cells must win at least once and strictly cut the
@@ -92,17 +94,33 @@ class HedgeCell:
 
     @property
     def ok(self) -> bool:
+        return not self.failures()
+
+    def failures(self) -> list[str]:
+        """Every gate this cell violates, one readable line each."""
         h = self.hedged
+        name = f"{self.flavour}/{self.budget_label}"
+        out: list[str] = []
         if h.overhead_nonfinite or not math.isfinite(h.overhead_p99_s):
-            return False
+            out.append(f"{name}: nonfinite dispatch overhead")
         # a hedge that never arms measures nothing; one that duplicates
         # more than the ceiling is a cost bug in any cell
-        if h.hedged == 0 or h.hedge_extra_fraction > MAX_HEDGE_EXTRA_FRACTION:
-            return False
-        if self.budget_s is None:
-            # unbudgeted: the causal comparison must show a strict win
-            return h.hedge_wins > 0 and self.p99_improvement_s > 0.0
-        return True
+        if h.hedged == 0:
+            out.append(f"{name}: no backups armed")
+        if h.hedge_extra_fraction > MAX_HEDGE_EXTRA_FRACTION:
+            out.append(
+                f"{name}: duplicated-work fraction "
+                f"{h.hedge_extra_fraction:.4f} > {MAX_HEDGE_EXTRA_FRACTION}"
+            )
+        # unbudgeted: the causal comparison must show a strict win
+        if self.budget_s is None and h.hedged and (
+            h.hedge_wins == 0 or self.p99_improvement_s <= 0.0
+        ):
+            out.append(
+                f"{name}: {h.hedge_wins} wins, chaos p99 saved "
+                f"{self.p99_improvement_s * 1e3:.3f} ms (need a strict win)"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -122,9 +140,12 @@ class HedgeResult:
                 return cell
         raise KeyError((flavour, budget_label))
 
+    def failures(self) -> list[str]:
+        return [f for cell in self.cells for f in cell.failures()]
+
     @property
     def passed(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+        return not self.failures()
 
     def render(self) -> str:
         def ms(x: float) -> str:

@@ -28,14 +28,16 @@ a scenario grid:
   completion latency vs its unhedged twin, and duplicate at most
   :data:`MAX_HEDGE_EXTRA_FRACTION` of the served seconds.
 
-Gates (``ReplayRow.ok`` / ``ReplayResult.passed``): chaos scenarios keep
-steady-state selection accuracy within :data:`MAX_ACCURACY_DROP` of the
-baseline, detect every window within :data:`MAX_TTD_FRACTION` of its
+Gates (:meth:`ReplayResult.failures`, the one verdict ``ReplayRow.ok``,
+``ReplayResult.passed``, the CLI and ``benchmarks/bench_replay.py`` all
+read): the chaos-free baseline never faults or sheds; chaos scenarios
+keep steady-state selection accuracy within :data:`MAX_ACCURACY_DROP` of
+the baseline, detect every window within :data:`MAX_TTD_FRACTION` of its
 duration and recover within :data:`MAX_TTR_S`; every scenario's
 dispatch-overhead p99 is finite; overload scenarios keep the queue depth
 bounded by its capacity while shedding/degrading/deferring a nonzero
-fraction.  ``benchmarks/bench_replay.py`` enforces the same numbers from
-``benchmarks/traffic_thresholds.json`` at the 10⁵-launch scale.
+fraction (and only by their own policy).  The bench runs the grid at the
+10⁵-launch scale.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ __all__ = [
     "MAX_ACCURACY_DROP",
     "MAX_TTD_FRACTION",
     "MAX_TTR_S",
+    "MIN_HEDGE_WINS",
     "MAX_HEDGE_EXTRA_FRACTION",
     "REPLAY_SCENARIOS",
     "ReplayRow",
@@ -72,10 +75,12 @@ __all__ = [
     "run_replay",
 ]
 
-#: Self-check thresholds (mirrored by benchmarks/traffic_thresholds.json).
+#: Self-check thresholds: the one copy (benchmarks/bench_replay.py and
+#: the CLI both gate on :meth:`ReplayResult.failures`).
 MAX_ACCURACY_DROP = 0.01  # steady-state accuracy loss vs the no-chaos baseline
 MAX_TTD_FRACTION = 0.25  # detection within this fraction of the window
 MAX_TTR_S = 2.0  # simulated seconds from window close to clean recovery
+MIN_HEDGE_WINS = 1  # backup races the hedged arm must win
 MAX_HEDGE_EXTRA_FRACTION = 0.15  # duplicated work hedging may burn
 
 REPLAY_SCENARIOS = (
@@ -117,49 +122,87 @@ class ReplayRow:
 
     @property
     def ok(self) -> bool:
+        return not self.failures()
+
+    def failures(self) -> list[str]:
+        """Every gate this scenario violates, one readable line each."""
         s = self.score
-        if s.overhead_nonfinite or not math.isfinite(s.overhead_p99_s):
-            return False
+        name = self.scenario
+        out: list[str] = []
+        if s.overhead_nonfinite:
+            out.append(
+                f"{name}: {s.overhead_nonfinite} nonfinite "
+                "dispatch-overhead observations"
+            )
+        if not math.isfinite(s.overhead_p99_s):
+            out.append(f"{name}: dispatch-overhead p99 not finite")
         if self.flavour == "baseline":
-            return (
-                s.shed_fraction == 0.0
-                and s.degraded_fraction == 0.0
-                and s.fault_events == 0
-                and s.fallbacks == 0
-            )
-        if self.flavour == "chaos":
+            if s.fault_events or s.fallbacks:
+                out.append(f"{name}: chaos-free baseline faulted")
+            if s.shed_fraction or s.degraded_fraction:
+                out.append(f"{name}: chaos-free baseline shed traffic")
+        elif self.flavour == "chaos":
             if self.accuracy_drop > MAX_ACCURACY_DROP:
-                return False
+                out.append(
+                    f"{name}: steady accuracy dropped "
+                    f"{self.accuracy_drop:.4f} > {MAX_ACCURACY_DROP} vs baseline"
+                )
             for w in s.windows:
-                if not w.detected or w.ttd_s > MAX_TTD_FRACTION * (
-                    w.stop_s - w.start_s
-                ):
-                    return False
-                if not w.recovered or w.ttr_s > MAX_TTR_S:
-                    return False
-            return True
-        if self.flavour == "hedged":
-            # hedging must actually fire, win at least once, cut the
-            # chaos-affected p99 completion latency vs the unhedged twin
-            # (the trace-wide p99 is pinned by steady-state burst peaks
-            # no backup can touch), and stay under the duplicated-work
-            # ceiling — a hedge that only burns is a bug
+                duration = w.stop_s - w.start_s
+                if not w.detected:
+                    out.append(f"{name}: window never detected")
+                elif w.ttd_s > MAX_TTD_FRACTION * duration:
+                    out.append(
+                        f"{name}: ttd {w.ttd_s:.3f}s > "
+                        f"{MAX_TTD_FRACTION:g} x {duration:.3f}s window"
+                    )
+                if not w.recovered:
+                    out.append(f"{name}: never recovered")
+                elif w.ttr_s > MAX_TTR_S:
+                    out.append(f"{name}: ttr {w.ttr_s:.3f}s > {MAX_TTR_S}s")
+        elif self.flavour == "hedged":
+            # hedging must actually fire, win, cut the chaos-affected p99
+            # completion latency vs the unhedged twin (the trace-wide p99
+            # is pinned by steady-state burst peaks no backup can touch),
+            # and stay under the duplicated-work ceiling — a hedge that
+            # only burns is a bug
             u = self.unhedged
-            return (
-                u is not None
-                and s.hedged > 0
-                and s.hedge_wins > 0
-                and s.chaos_completion_p99_s < u.chaos_completion_p99_s
-                and s.hedge_extra_fraction <= MAX_HEDGE_EXTRA_FRACTION
-            )
-        # overload: the bound must hold and the policy must visibly shed
-        if self.capacity is not None and s.max_queue_depth > self.capacity:
-            return False
-        if self.scenario == "overload-reject":
-            return s.shed_fraction > 0.0 and s.degraded_fraction == 0.0
-        if self.scenario == "overload-degrade":
-            return s.degraded_fraction > 0.0 and s.shed_fraction == 0.0
-        return s.deferred > 0 and s.resumed > 0  # overload-defer
+            if u is None or s.hedged == 0:
+                out.append(f"{name}: no backups armed")
+            elif s.hedge_wins < MIN_HEDGE_WINS:
+                out.append(
+                    f"{name}: {s.hedge_wins} hedge wins < {MIN_HEDGE_WINS}"
+                )
+            elif s.chaos_completion_p99_s >= u.chaos_completion_p99_s:
+                out.append(
+                    f"{name}: chaos p99 {s.chaos_completion_p99_s:.6f}s "
+                    f"not below unhedged {u.chaos_completion_p99_s:.6f}s"
+                )
+            if s.hedge_extra_fraction > MAX_HEDGE_EXTRA_FRACTION:
+                out.append(
+                    f"{name}: duplicated-work fraction "
+                    f"{s.hedge_extra_fraction:.4f} > {MAX_HEDGE_EXTRA_FRACTION}"
+                )
+        else:  # overload: the bound must hold and the policy visibly shed
+            if self.capacity is not None and s.max_queue_depth > self.capacity:
+                out.append(
+                    f"{name}: queue depth {s.max_queue_depth} "
+                    f"exceeded capacity {self.capacity}"
+                )
+            shed, degraded = s.shed_fraction, s.degraded_fraction
+            if name == "overload-reject" and (shed == 0.0 or degraded != 0.0):
+                out.append(
+                    f"{name}: shed {shed:.4f}, degraded {degraded:.4f} "
+                    "(the reject policy must shed and only shed)"
+                )
+            elif name == "overload-degrade" and (degraded == 0.0 or shed != 0.0):
+                out.append(
+                    f"{name}: degraded {degraded:.4f}, shed {shed:.4f} "
+                    "(the degrade policy must degrade and only degrade)"
+                )
+            elif name == "overload-defer" and (s.deferred == 0 or s.resumed == 0):
+                out.append(f"{name}: nothing deferred and resumed")
+        return out
 
 
 @dataclass(frozen=True)
@@ -181,9 +224,12 @@ class ReplayResult:
                 return row
         raise KeyError(scenario)
 
+    def failures(self) -> list[str]:
+        return [f for row in self.rows for f in row.failures()]
+
     @property
     def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return not self.failures()
 
     def render(self) -> str:
         def pct(x: float) -> str:

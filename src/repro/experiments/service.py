@@ -22,14 +22,15 @@ The grid crosses tenant mix with load shape:
   the service's per-device server pools must keep the completion p99
   below the legacy twin's.
 
-Gates (``ServiceRow.ok`` / ``ServiceResult.passed``): per row,
-steady-state selection accuracy stays within
+Gates (:meth:`ServiceResult.failures`, the one verdict ``ServiceRow.ok``,
+``ServiceResult.passed``, the CLI and ``benchmarks/bench_service.py``
+all read): per row, both twins serve the whole trace, per-tenant
+percentiles are recorded, steady-state selection accuracy stays within
 :data:`MAX_SERVICE_ACCURACY_DELTA` of the legacy twin and per-tenant
 p99 fairness stays under :data:`MAX_FAIRNESS_P99`; across the grid, at
 least :data:`MIN_OVERLAP_WINS` scenarios must show the service beating
 the legacy FIFO on the tail the scenario stresses (chaos-window p99 for
-storms, trace-wide p99 for bursts).  ``benchmarks/bench_service.py``
-enforces the same numbers from ``benchmarks/traffic_thresholds.json``.
+storms, trace-wide p99 for bursts).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ __all__ = [
     "run_service",
 ]
 
-#: Self-check thresholds (mirrored by benchmarks/traffic_thresholds.json).
+#: Self-check thresholds: the one copy (see :meth:`ServiceResult.failures`).
 MAX_SERVICE_ACCURACY_DELTA = 0.01  # |steady accuracy - legacy twin|
 MAX_FAIRNESS_P99 = 3.0  # max/min per-tenant p99 ratio
 MIN_OVERLAP_WINS = 1  # scenarios where the service beats the FIFO tail
@@ -114,21 +115,41 @@ class ServiceRow:
 
     @property
     def ok(self) -> bool:
+        return not self.failures()
+
+    def failures(self) -> list[str]:
+        """Every per-scenario gate violated, one readable line each."""
         s = self.score
+        name = self.scenario
+        out: list[str] = []
         if not math.isfinite(s.completion_p99_s):
-            return False
+            out.append(f"{name}: completion p99 not finite")
         if s.overhead_nonfinite:
-            return False
+            out.append(
+                f"{name}: {s.overhead_nonfinite} nonfinite "
+                "dispatch-overhead observations"
+            )
         # both twins served the whole trace (conservation across lanes)
         if s.requests != self.legacy.requests or s.launches != self.legacy.launches:
-            return False
+            out.append(
+                f"{name}: twins disagree on served launches "
+                f"({s.launches} vs {self.legacy.launches})"
+            )
         if abs(self.accuracy_delta) > MAX_SERVICE_ACCURACY_DELTA:
-            return False
+            out.append(
+                f"{name}: steady accuracy moved {self.accuracy_delta:+.4f} "
+                f"vs the FIFO twin (|delta| > {MAX_SERVICE_ACCURACY_DELTA})"
+            )
         if not (
             math.isfinite(s.fairness_p99) and s.fairness_p99 <= MAX_FAIRNESS_P99
         ):
-            return False
-        return True
+            out.append(
+                f"{name}: tenant p99 fairness {s.fairness_p99:.3f} "
+                f"> {MAX_FAIRNESS_P99}"
+            )
+        if not s.tenants:
+            out.append(f"{name}: no per-tenant percentiles recorded")
+        return out
 
 
 @dataclass(frozen=True)
@@ -154,12 +175,18 @@ class ServiceResult:
     def overlap_wins(self) -> int:
         return sum(1 for row in self.rows if row.overlap_win)
 
+    def failures(self) -> list[str]:
+        out = [f for row in self.rows for f in row.failures()]
+        if self.overlap_wins < MIN_OVERLAP_WINS:
+            out.append(
+                f"only {self.overlap_wins} overlap wins across the grid "
+                f"(< {MIN_OVERLAP_WINS}): pipelining never beat the serial FIFO"
+            )
+        return out
+
     @property
     def passed(self) -> bool:
-        return (
-            all(row.ok for row in self.rows)
-            and self.overlap_wins >= MIN_OVERLAP_WINS
-        )
+        return not self.failures()
 
     def render(self) -> str:
         def pct(x: float) -> str:

@@ -34,16 +34,27 @@ class TraceResult:
     tracer: Tracer
     metrics: MetricsRegistry
 
-    @property
-    def passed(self) -> bool:
+    def failures(self) -> list[str]:
         """Self-check: the sweep recorded what it claims it recorded."""
+        out: list[str] = []
         if not self.records or len(self.records) != len(self.region_names):
-            return False
+            out.append(
+                f"{len(self.records)} records for "
+                f"{len(self.region_names)} regions"
+            )
         counters = self.metrics.snapshot()["counters"]
         launches = sum(
             v for k, v in counters.items() if k.startswith("launches_total")
         )
-        return launches == len(self.records) and len(self.tracer.spans) > 0
+        if launches != len(self.records):
+            out.append(f"launches_total {launches} != {len(self.records)} records")
+        if not self.tracer.spans:
+            out.append("no spans recorded")
+        return out
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
 
     def chrome_json(self) -> str:
         """The sweep as Chrome trace-event JSON (open in Perfetto)."""

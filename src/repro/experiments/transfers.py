@@ -14,6 +14,8 @@ dataflow analysis (``repro.ir.dataflow``, docs/LINT.md).  Two sections:
   wasted directions; the report quantifies the recovered transfer
   seconds and checks that at least one selector decision flips *toward
   the true oracle* once transfers are priced from liveness.
+  :meth:`TransfersResult.failures` is the one verdict (the CLI and
+  ``benchmarks/bench_transfers.py`` gate on it).
 
 The simulator prices what the OpenMP runtime would actually move: under
 declared sizing that is the map clauses, under inferred sizing the
@@ -143,8 +145,13 @@ class TransfersResult:
                 return row
         raise KeyError(name)
 
-    @property
-    def passed(self) -> bool:
+    def _maybe(self, name: str) -> ScenarioOutcome | None:
+        try:
+            return self.scenario(name)
+        except KeyError:
+            return None
+
+    def failures(self) -> list[str]:
         """Self-check: clean suite untouched, scenarios only improve.
 
         * every clean suite kernel keeps byte-identical sizing and the
@@ -152,13 +159,39 @@ class TransfersResult:
         * every scenario tightens (never widens) both directions and
           recovers non-negative transfer time;
         * at least one scenario flips the selector decision onto the
-          true oracle target while recovering real transfer seconds.
+          true oracle target while recovering real transfer seconds;
+        * the named scenarios, when present, show their lint and win:
+          ``defensive-tofrom`` drops its wasted copy-in under MAP002,
+          ``dead-debug-buffer`` is the MAP004 flip onto the oracle.
         """
-        if not all(row.agrees for row in self.suite):
-            return False
-        if not all(s.tightened and s.wasted_seconds >= 0 for s in self.scenarios):
-            return False
-        return any(s.fixed and s.wasted_seconds > 0 for s in self.scenarios)
+        out = [
+            f"{row.region}: inferred sizing or decision moved on a clean map"
+            for row in self.suite
+            if not row.agrees
+        ]
+        for s in self.scenarios:
+            if not (s.tightened and s.wasted_seconds >= 0):
+                out.append(f"{s.scenario}: inference widened a transfer")
+        if not any(s.fixed and s.wasted_seconds > 0 for s in self.scenarios):
+            out.append("no scenario flipped onto the oracle target")
+        defensive = self._maybe("defensive-tofrom")
+        if defensive is not None and not (
+            defensive.inferred_to_device < defensive.declared_to_device
+            and "MAP002" in defensive.map_codes
+        ):
+            out.append("defensive-tofrom: copy-in not dropped under MAP002")
+        deadbuf = self._maybe("dead-debug-buffer")
+        if deadbuf is not None and not (
+            deadbuf.fixed
+            and deadbuf.wasted_seconds > 0
+            and "MAP004" in deadbuf.map_codes
+        ):
+            out.append("dead-debug-buffer: no MAP004 flip onto the oracle")
+        return out
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
 
     def to_payload(self) -> dict:
         """JSON-ready summary of both sections."""

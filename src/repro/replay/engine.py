@@ -130,9 +130,6 @@ class ReplayConfig:
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     num_threads: int | None = None
     multi_device: bool = False
-    attach_sentinel: bool = True
-    attach_watchdog: bool = True
-    watchdog_factor: float = 8.0
     #: simulated-time half-life of the accelerator health penalty; decay
     #: is what lets a post-storm runtime forgive the card instead of
     #:  pinning borderline kernels to the host forever
@@ -142,14 +139,11 @@ class ReplayConfig:
     #: request whose budget drains while queueing runs the host-only
     #: degraded path instead ("expired").  None = off (bit-identical).
     budget_s: float | None = None
-    #: arm speculative host backups (a HedgePolicy on the runtime)
-    hedge: bool = False
-    hedge_quantile: float = 0.95
-    hedge_min_samples: int = 8
-    hedge_low_budget_factor: float = 2.0
+    #: arm speculative host backups (a HedgePolicy on the runtime) with
     #: classic tail-at-scale arming: every sketch-ready launch hedges,
-    #: but only primaries that outlive the p-quantile delay ever pay
-    hedge_on_slow: bool = True
+    #: but only primaries that outlive the p95 delay ever pay
+    hedge: bool = False
+    hedge_min_samples: int = 8
     #: bounded scheduled-work slots per device (a Bulkhead on the
     #: runtime); saturated devices reroute pre-dispatch.  None = off.
     bulkhead_slots: int | None = None
@@ -208,15 +202,11 @@ class ReplayEngine:
 
     def _build_runtime(self):
         cfg = self.config
-        sentinel = DriftSentinel() if cfg.attach_sentinel else None
-        watchdog = (
-            Watchdog(factor=cfg.watchdog_factor) if cfg.attach_watchdog else None
-        )
         common = dict(
             platform=cfg.platform,
             num_threads=cfg.num_threads,
-            sentinel=sentinel,
-            watchdog=watchdog,
+            sentinel=DriftSentinel(),
+            watchdog=Watchdog(factor=8.0),
             metrics=MetricsRegistry(),
             memo=self.memo,
             health_decay_halflife_s=cfg.health_decay_halflife_s,
@@ -237,10 +227,7 @@ class ReplayEngine:
             runtime.bulkheads = Bulkhead(cfg.bulkhead_slots)
         if cfg.hedge:
             runtime.hedge = HedgePolicy(
-                quantile=cfg.hedge_quantile,
-                min_samples=cfg.hedge_min_samples,
-                low_budget_factor=cfg.hedge_low_budget_factor,
-                on_slow=cfg.hedge_on_slow,
+                min_samples=cfg.hedge_min_samples, on_slow=True
             )
         return runtime
 

@@ -362,7 +362,7 @@ class DispatchCore:
             return "cpu", FALLBACK_BREAKER
         if self.bulkhead_blocks(bulkhead_key):
             return "cpu", FALLBACK_BULKHEAD
-        if self.owner.apply_health_penalty and prediction is not None:
+        if prediction is not None:
             penalty = health.penalty()
             if (
                 penalty > 1.0

@@ -195,10 +195,11 @@ class TestReplayCommand:
 
 
 class TestSelfCheckExitCodes:
-    """Every subcommand with a self-check must exit non-zero on failure."""
+    """Every self-checking command exits 1 and reports each failure."""
 
     class _Fake:
-        passed = False
+        def failures(self):
+            return ["boom"]
 
         def render(self):
             return "fake report"
@@ -209,27 +210,24 @@ class TestSelfCheckExitCodes:
         def to_payload(self):
             return {"passed": False}
 
-    def test_faults_artefact_fails_loud(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults"],
+            ["trace", "gemm"],
+            ["replay", "--tiny"],
+            ["service", "--tiny"],
+            ["hedge", "--tiny"],
+            ["drift"],
+            ["transfers"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_fails_loud(self, monkeypatch, capsys, argv):
         import repro.experiments as ex
 
-        monkeypatch.setattr(ex, "run_faults", lambda: self._Fake())
-        assert main(["faults"]) == 1
-        assert "self-check FAILED: faults" in capsys.readouterr().err
-
-    def test_trace_fails_loud(self, monkeypatch, capsys):
-        import repro.experiments as ex
-
-        monkeypatch.setattr(ex, "run_trace", lambda **kw: self._Fake())
-        assert main(["trace", "gemm"]) == 1
-
-    def test_replay_fails_loud(self, monkeypatch, capsys):
-        import repro.experiments as ex
-
-        monkeypatch.setattr(ex, "run_replay", lambda **kw: self._Fake())
-        assert main(["replay", "--tiny"]) == 1
-
-    def test_drift_fails_loud(self, monkeypatch, capsys):
-        import repro.experiments as ex
-
-        monkeypatch.setattr(ex, "run_drift", lambda **kw: self._Fake())
-        assert main(["drift"]) == 1
+        monkeypatch.setattr(ex, f"run_{argv[0]}", lambda **kw: self._Fake())
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"self-check FAILED: {argv[0]}" in err
+        assert "boom" in err
