@@ -180,7 +180,12 @@ class StreamStats:
                 self.baseline = self._warmup_sum / self.config.warmup
             return self.state
         residual = log_ratio - (self.baseline or 0.0)
-        self.cusum.update(residual)
+        # Cusum.update inlined (same float operations, same order): this
+        # runs twice per launch on the runtimes' hot path
+        cusum = self.cusum
+        cusum.pos = max(0.0, cusum.pos + residual - cusum.k)
+        cusum.neg = max(0.0, cusum.neg - residual - cusum.k)
+        statistic = max(cusum.pos, cusum.neg)
         if self.state is DriftState.DRIFTED:
             # recovery is streak-based: the CUSUM statistic only decays by
             # k per observation, which would hold a long drift open far
@@ -195,9 +200,9 @@ class StreamStats:
                 self._recover_streak = 0
             if self._recover_streak >= self.config.recover_after:
                 self.state = DriftState.CALIBRATED
-                self.cusum.reset()
+                cusum.reset()
                 self._recover_streak = 0
-        elif self.cusum.tripped:
+        elif statistic > cusum.h:
             self.state = DriftState.DRIFTED
             self.drift_count += 1
             self._recover_streak = 0
@@ -208,7 +213,7 @@ class StreamStats:
             # error — only *post-drift* scatter escalates to history mode).
             self.ratio_ewma.value = log_ratio
             self.instability = Ewma(self.config.ewma_alpha)
-        elif self.cusum.statistic > self.config.cusum_h * self.config.suspect_fraction:
+        elif statistic > self.config.cusum_h * self.config.suspect_fraction:
             self.state = DriftState.SUSPECT
         else:
             self.state = DriftState.CALIBRATED
@@ -284,7 +289,7 @@ class DriftSentinel:
     def observe(
         self, device: str, region: str, predicted: float, observed: float
     ) -> DriftState:
-        stream = self.stream(device, region)
+        stream = self.streams.get((device, region)) or self.stream(device, region)
         before = stream.state
         state = stream.observe(predicted, observed)
         if state is not before and self.clock is not None:

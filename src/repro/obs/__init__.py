@@ -19,6 +19,7 @@ from .tracer import (
 from .metrics import (
     DEFAULT_LOG_ERROR_BUCKETS,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -36,6 +37,7 @@ __all__ = [
     "current_tracer",
     "DEFAULT_LOG_ERROR_BUCKETS",
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -10,6 +10,17 @@ identical runs serialize byte-identically.
 Everything is plain Python; there is no background aggregation thread
 and no dependency.  Instruments are get-or-create: asking for the same
 ``(name, labels)`` twice returns the same object.
+
+Hot call sites hold *children* instead of asking again (the Prometheus
+client's ``labels()`` idiom): :meth:`MetricsRegistry.family` returns the
+:class:`Family` of one instrument name over fixed label names, and
+``family.labels(*values)`` returns the child for those values.  The
+first touch of a child goes through the get-or-create method, which
+builds the ``name{label=value}`` key once; every later touch is one
+tuple-keyed dict lookup.  A child is the very object the get-or-create
+call returns, and one that is never touched is never created, so a
+registry fed through families snapshots byte-identically to one fed
+through get-or-create calls alone.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import math
 __all__ = [
     "Counter",
     "DEFAULT_LOG_ERROR_BUCKETS",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -109,7 +121,7 @@ class QuantileSketch:
     percentile gate — gates check ``nonfinite == 0`` explicitly instead.
     """
 
-    __slots__ = ("significant_digits", "counts", "count", "nonfinite")
+    __slots__ = ("significant_digits", "counts", "count", "nonfinite", "_format")
 
     def __init__(self, significant_digits: int = 6):
         if significant_digits < 1:
@@ -118,9 +130,10 @@ class QuantileSketch:
         self.counts: dict[float, int] = {}
         self.count = 0
         self.nonfinite = 0
+        self._format = f"%.{significant_digits}g"
 
     def _quantize(self, value: float) -> float:
-        return float(f"%.{self.significant_digits}g" % value)
+        return float(self._format % value)
 
     def observe(self, value: float) -> None:
         if not math.isfinite(value):
@@ -188,6 +201,37 @@ def _key(name: str, labels: dict) -> str:
     return f"{name}{{{inner}}}"
 
 
+class Family:
+    """One instrument name's children, one per tuple of label values.
+
+    ``kind`` names the registry's get-or-create method (``"counter"``,
+    ``"gauge"``, ``"histogram"`` or ``"quantiles"``); histograms and
+    sketches get that method's default buckets / digits.  A family with
+    no label names has a single child, ``labels()``.
+    """
+
+    __slots__ = ("_registry", "kind", "name", "labelnames", "_children")
+
+    def __init__(
+        self, registry: MetricsRegistry, kind: str, name: str, labelnames: tuple[str, ...]
+    ):
+        self._registry = registry
+        self.kind = kind
+        self.name = name
+        self.labelnames = labelnames
+        self._children: dict[tuple, object] = {}
+
+    def labels(self, *values):
+        """The child for ``values`` (positional, in ``labelnames`` order)."""
+        child = self._children.get(values)
+        if child is None:
+            create = getattr(self._registry, self.kind)
+            child = self._children[values] = create(
+                self.name, **dict(zip(self.labelnames, values))
+            )
+        return child
+
+
 class MetricsRegistry:
     """Get-or-create registry of named, labelled instruments."""
 
@@ -196,6 +240,17 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._quantiles: dict[str, QuantileSketch] = {}
+        self._families: dict[tuple, Family] = {}
+
+    def family(self, kind: str, name: str, *labelnames: str) -> Family:
+        """The (shared) :class:`Family` of ``name`` over ``labelnames``."""
+        key = (kind, name, labelnames)
+        fam = self._families.get(key)
+        if fam is None:
+            if kind not in ("counter", "gauge", "histogram", "quantiles"):
+                raise ValueError(f"unknown instrument kind {kind!r}")
+            fam = self._families[key] = Family(self, kind, name, labelnames)
+        return fam
 
     def counter(self, name: str, **labels) -> Counter:
         key = _key(name, labels)

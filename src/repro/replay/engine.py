@@ -265,6 +265,7 @@ class ReplayEngine:
         request: LaunchRequest,
         outcomes: list[ReplayOutcome],
         label: str,
+        wait_sketch,
     ) -> None:
         budget = None
         if self.config.budget_s is not None:
@@ -287,7 +288,7 @@ class ReplayEngine:
                 return
         start = queue.start(request.arrival_s)
         wait = start - request.arrival_s
-        self.runtime.metrics.quantiles("admission_wait_seconds").observe(wait)
+        wait_sketch.labels().observe(wait)
         if budget is not None:
             budget.charge(wait)
         self._advance_to(start)
@@ -305,13 +306,23 @@ class ReplayEngine:
         )
 
     def run(self, requests: list[LaunchRequest] | None = None) -> ReplayRun:
+        """Replay ``requests`` (default: the configured workload's trace).
+
+        The catalog IR is only built when the trace must be generated or
+        a region it launches is missing from the database; a warm
+        database replaying a given trace skips it.
+        """
         cfg = self.config
-        cases, regions = build_catalog(cfg.workload.sizes)
-        for region in regions.values():
-            if region.name not in self.runtime.db:
-                self.runtime.compile_region(region)
-        if requests is None:
-            requests = generate_requests(cfg.workload, cases)
+        db = self.runtime.db
+        if requests is None or any(
+            r.case.region_name not in db for r in requests
+        ):
+            cases, regions = build_catalog(cfg.workload.sizes)
+            for region in regions.values():
+                if region.name not in db:
+                    self.runtime.compile_region(region)
+            if requests is None:
+                requests = generate_requests(cfg.workload, cases)
         if cfg.service:
             return self._run_service(requests)
         return self._run_legacy(requests)
@@ -344,17 +355,18 @@ class ReplayEngine:
         queue = AdmissionQueue(cfg.admission)
         outcomes: list[ReplayOutcome] = []
         metrics = self.runtime.metrics
+        depth_sketch = metrics.family("quantiles", "admission_queue_depth")
+        requests_total = metrics.family("counter", "replay_requests_total", "decision")
+        wait_sketch = metrics.family("quantiles", "admission_wait_seconds")
 
         for request in requests:
             for parked in queue.resumable(request.arrival_s):
-                self._serve(queue, parked, outcomes, "resumed")
-            metrics.quantiles("admission_queue_depth").observe(
-                float(queue.depth(request.arrival_s))
-            )
+                self._serve(queue, parked, outcomes, "resumed", wait_sketch)
+            depth_sketch.labels().observe(float(queue.depth(request.arrival_s)))
             decision = queue.decide(request.arrival_s)
-            metrics.counter("replay_requests_total", decision=decision).inc()
+            requests_total.labels(decision).inc()
             if decision == "admit":
-                self._serve(queue, request, outcomes, "ok")
+                self._serve(queue, request, outcomes, "ok", wait_sketch)
             elif decision == "degrade":
                 self._advance_to(request.arrival_s)
                 record = self._launch(request, force_target="cpu")
@@ -380,7 +392,7 @@ class ReplayEngine:
 
         # the trace is over; drain whatever is still parked
         for parked in queue.resumable(float("inf")):
-            self._serve(queue, parked, outcomes, "resumed")
+            self._serve(queue, parked, outcomes, "resumed", wait_sketch)
 
         outcomes.sort(key=lambda o: o.index)
         horizon = max(

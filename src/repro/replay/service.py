@@ -241,6 +241,15 @@ class OffloadService:
             }
         self._lane_list = list(self.lanes.values())
         self.stats = ServiceStats(self.lanes)
+        metrics = self.metrics
+        self._depth = metrics.family("quantiles", "admission_queue_depth")
+        self._lane_depth = metrics.family("quantiles", "service_queue_depth", "device")
+        self._requests_total = metrics.family(
+            "counter", "replay_requests_total", "decision"
+        )
+        self._batches_total = metrics.family("counter", "service_batches_total", "device")
+        self._occupancy = metrics.family("quantiles", "service_occupancy", "device")
+        self._wait = metrics.family("quantiles", "admission_wait_seconds")
         self._route_cache: dict = {}
         self._phase_fractions: dict = {}
         #: (lane, server, comp_start_s, comp_end_s, index, tenant) per
@@ -305,13 +314,10 @@ class OffloadService:
             self._resume_ready(lane, now)
         lane = self._route(request)
         depth = lane.depth(now)
-        metrics = self.metrics
-        metrics.quantiles("admission_queue_depth").observe(float(depth))
-        metrics.quantiles("service_queue_depth", device=lane.name).observe(
-            float(depth)
-        )
+        self._depth.labels().observe(float(depth))
+        self._lane_depth.labels(lane.name).observe(float(depth))
         decision = self._decide(lane, depth)
-        metrics.counter("replay_requests_total", decision=decision).inc()
+        self._requests_total.labels(decision).inc()
         if decision == "admit":
             lane.pending.append((request, "ok", depth))
         elif decision == "degrade":
@@ -385,23 +391,14 @@ class OffloadService:
         lane = self._route_cache.get(request.case)
         if lane is None:
             rt = self.runtime
-            attrs = rt.db.lookup(request.case.region_name)
-            env = request.case.env_dict()
-            memo = rt.memo
-            if memo is not None:
-                bound = memo.bound(attrs, env)
-                cpu_s = memo.execution(rt._host, attrs, env).seconds
-                gpu_s = memo.execution(rt._accel, attrs, env).seconds
-            else:
-                bound = attrs.bind(env)
-                cpu_s = rt._host.execute(attrs.region, env).seconds
-                gpu_s = rt._accel.execute(attrs.region, env).seconds
+            core = rt._core
+            ctx = core.case(request.case.region_name, request.case.env_dict())
             target, _ = self.engine.policy.choose(
-                bound,
+                core.bound(ctx),
                 rt.platform,
                 num_threads=rt.num_threads,
-                sim_cpu_seconds=cpu_s,
-                sim_gpu_seconds=gpu_s,
+                sim_cpu_seconds=core.execution(ctx, 0).seconds,
+                sim_gpu_seconds=core.execution(ctx, 1).seconds,
             )
             lane = self.lanes["gpu" if target == "gpu" else "cpu"]
             self._route_cache[request.case] = lane
@@ -422,7 +419,7 @@ class OffloadService:
         self.stats.batches += 1
         self.stats.batched += len(members) - 1
         if len(members) > 1:
-            self.metrics.counter("service_batches_total", device=lane.name).inc()
+            self._batches_total.labels(lane.name).inc()
         open_t = self._quantize(head.arrival_s)
         if self.config.overlap:
             self._dispatch_overlap(lane, open_t, members, outcomes, ReplayOutcome)
@@ -467,9 +464,7 @@ class OffloadService:
         )
         server_free = lane.compute_free[server]
         busy = sum(1 for t in lane.compute_free if t > open_t)
-        self.metrics.quantiles("service_occupancy", device=lane.name).observe(
-            busy / len(lane.compute_free)
-        )
+        self._occupancy.labels(lane.name).observe(busy / len(lane.compute_free))
         shared_ready = None  # H2D completion the batch's later members reuse
         prev_comp_end = None
         for request, label, depth in members:
@@ -541,7 +536,7 @@ class OffloadService:
                     )
                 )
                 return _EXPIRED
-        self.metrics.quantiles("admission_wait_seconds").observe(wait)
+        self._wait.labels().observe(wait)
         if budget is not None:
             budget.charge(wait)
         return budget
@@ -601,13 +596,9 @@ class OffloadService:
             return 0.0, executed, 0.0
         fractions = self._phase_fractions.get(request.case)
         if fractions is None:
-            rt = self.runtime
-            attrs = rt.db.lookup(request.case.region_name)
-            env = request.case.env_dict()
-            if rt.memo is not None:
-                detail = rt.memo.execution(rt._accel, attrs, env).detail
-            else:
-                detail = rt._accel.execute(attrs.region, env).detail
+            core = self.runtime._core
+            ctx = core.case(request.case.region_name, request.case.env_dict())
+            detail = core.execution(ctx, 1).detail
             fractions = (0.0, 1.0, 0.0)
             if isinstance(detail, tuple) and len(detail) == 2:
                 kernel, xfer = detail

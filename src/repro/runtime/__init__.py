@@ -20,6 +20,7 @@ from .dispatch import (
     FALLBACK_HEDGE,
     Budget,
     Bulkhead,
+    CaseContext,
     DispatchCore,
     HedgeOutcome,
     HedgePolicy,
@@ -42,6 +43,7 @@ __all__ = [
     "FALLBACK_HEDGE",
     "Budget",
     "Bulkhead",
+    "CaseContext",
     "DispatchCore",
     "HedgeOutcome",
     "HedgePolicy",

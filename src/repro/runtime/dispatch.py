@@ -68,6 +68,7 @@ __all__ = [
     "FALLBACK_HEDGE",
     "Budget",
     "Bulkhead",
+    "CaseContext",
     "HedgeOutcome",
     "HedgePolicy",
     "DispatchCore",
@@ -282,55 +283,134 @@ class HedgePolicy:
         return None
 
 
+class CaseContext:
+    """Everything a launch derives from its ``(region, env)`` case alone.
+
+    ``attrs`` and the two stream keys are resolved up front; the runtime
+    binding, each device's undilated execution (aligned with the core's
+    ``devices``, host first) and the device footprint fill on first use,
+    so a launch computes exactly what it did before the context existed
+    — a host-only degraded launch never binds or simulates the
+    accelerators.  ``sentinel_key`` keys the drift streams (see
+    ``sentinel_stream_by_env``); ``case_key`` keys the hedge sketches and
+    is always per (region, env), never pooled.
+    """
+
+    __slots__ = (
+        "attrs",
+        "env",
+        "sentinel_key",
+        "case_key",
+        "bound",
+        "executions",
+        "footprint",
+    )
+
+    def __init__(
+        self, attrs, env: dict[str, int], sentinel_key: str, case_key: str, devices: int
+    ):
+        self.attrs = attrs
+        self.env = env
+        self.sentinel_key = sentinel_key
+        self.case_key = case_key
+        self.bound = None
+        self.executions: list = [None] * devices
+        self.footprint: int | None = None
+
+
 class DispatchCore:
     """The shared per-launch pipeline stages, bound to one runtime.
 
-    Holds only a reference to its owner and reads the optional
-    collaborators off it at call time (the replay engine attaches the
-    injector and chaos dilation *after* construction).  Stateless apart
-    from the owner reference — all accounting lives on the runtime, the
-    health objects and the policy objects, exactly where it lived before
-    the extraction.
+    Holds a reference to its owner and reads the optional collaborators
+    off it at call time (the replay engine attaches the injector and
+    chaos dilation *after* construction).  All accounting lives on the
+    runtime, the health objects and the policy objects, exactly where it
+    lived before the extraction.  The core's own state is two caches of
+    pure values: the interned :class:`CaseContext` per case (kept only
+    when the owner has an :class:`~repro.runtime.ExecutionMemo`, whose
+    values they are) and the pre-bound metric children of
+    :meth:`record_metrics`.
     """
 
-    def __init__(self, owner):
+    def __init__(self, owner, devices):
         self.owner = owner
+        #: the owner's devices, host first; CaseContext.executions align
+        self.devices = tuple(devices)
+        self._cases: dict[tuple, CaseContext] = {}
+        self._metrics: _LaunchMetrics | None = None
 
     # -- launch inputs ------------------------------------------------------
-    def bound(self, attrs, env: Mapping[str, int]):
-        """Memo-aware runtime binding of a region's attributes."""
-        memo = self.owner.memo
-        return memo.bound(attrs, env) if memo is not None else attrs.bind(env)
+    def case(self, region_name: str, env: Mapping[str, int]) -> CaseContext:
+        """The launch context of one case: one dict lookup once warm.
 
-    def footprint(self, attrs, env: Mapping[str, int]) -> int:
-        memo = self.owner.memo
-        if memo is not None:
-            return memo.footprint(attrs, env, region_footprint_bytes)
-        return region_footprint_bytes(attrs.region, env)
+        With a memo the context is interned per ``(region_name, env
+        items)``; without one every launch builds a fresh context through
+        the same builder, so nothing outlives the launch.
+        """
+        if self.owner.memo is None:
+            return self._resolve(region_name, env)
+        key = (region_name, tuple(env.items()))
+        ctx = self._cases.get(key)
+        if ctx is None:
+            ctx = self._cases[key] = self._resolve(region_name, env)
+        return ctx
 
-    def measure(self, device, attrs, env: Mapping[str, int]) -> float:
-        """One device's simulated seconds, memoized and dilation-scaled."""
+    def _resolve(self, region_name: str, env: Mapping[str, int]) -> CaseContext:
         owner = self.owner
-        if owner.memo is not None:
-            seconds = owner.memo.execution(device, attrs, env).seconds
-        else:
-            seconds = device.execute(attrs.region, env).seconds
-        if owner.time_dilation is not None:
-            seconds *= owner.time_dilation(device.kind)
+        attrs = owner.db.lookup(region_name)
+        sizes = ",".join(f"{k}={env[k]}" for k in sorted(env))
+        case_key = f"{region_name}@{sizes}"
+        return CaseContext(
+            attrs,
+            dict(env),
+            case_key if owner.sentinel_stream_by_env else region_name,
+            case_key,
+            len(self.devices),
+        )
+
+    def bound(self, ctx: CaseContext):
+        """Memo-aware runtime binding of the case's attributes."""
+        bound = ctx.bound
+        if bound is None:
+            memo = self.owner.memo
+            bound = ctx.bound = (
+                memo.bound(ctx.attrs, ctx.env)
+                if memo is not None
+                else ctx.attrs.bind(ctx.env)
+            )
+        return bound
+
+    def footprint(self, ctx: CaseContext) -> int:
+        footprint = ctx.footprint
+        if footprint is None:
+            memo = self.owner.memo
+            footprint = ctx.footprint = (
+                memo.footprint(ctx.attrs, ctx.env, region_footprint_bytes)
+                if memo is not None
+                else region_footprint_bytes(ctx.attrs.region, ctx.env)
+            )
+        return footprint
+
+    def execution(self, ctx: CaseContext, index: int):
+        """Device ``index``'s undilated, memo-aware execution record."""
+        record = ctx.executions[index]
+        if record is None:
+            memo = self.owner.memo
+            device = self.devices[index]
+            record = ctx.executions[index] = (
+                memo.execution(device, ctx.attrs, ctx.env)
+                if memo is not None
+                else device.execute(ctx.attrs.region, ctx.env)
+            )
+        return record
+
+    def measure(self, ctx: CaseContext, index: int) -> float:
+        """Device ``index``'s simulated seconds, dilation-scaled per launch."""
+        seconds = self.execution(ctx, index).seconds
+        dilation = self.owner.time_dilation
+        if dilation is not None:
+            seconds *= dilation(self.devices[index].kind)
         return seconds
-
-    def sentinel_key(self, region_name: str, env: Mapping[str, int]) -> str:
-        """The drift-stream key for one launch (see sentinel_stream_by_env)."""
-        if not self.owner.sentinel_stream_by_env:
-            return region_name
-        sizes = ",".join(f"{k}={env[k]}" for k in sorted(env))
-        return f"{region_name}@{sizes}"
-
-    @staticmethod
-    def case_key(region_name: str, env: Mapping[str, int]) -> str:
-        """The hedge-sketch key: always per (region, env), never pooled."""
-        sizes = ",".join(f"{k}={env[k]}" for k in sorted(env))
-        return f"{region_name}@{sizes}"
 
     def lint_decision(self, region):
         gate = self.owner.lint_gate
@@ -377,8 +457,7 @@ class DispatchCore:
         *,
         health,
         device,
-        attrs,
-        env: Mapping[str, int],
+        ctx: CaseContext,
         launch_index: int,
         budget: Budget | None = None,
     ):
@@ -391,7 +470,7 @@ class DispatchCore:
             health=health,
             device_name=device.name,
             launch_index=launch_index,
-            footprint_bytes=self.footprint(attrs, env),
+            footprint_bytes=self.footprint(ctx),
             memory_bytes=int(device.gpu.mem_size_gib * 2**30),
             budget=budget,
         )
@@ -466,8 +545,7 @@ class DispatchCore:
         self,
         *,
         device_name: str,
-        region_name: str,
-        env: Mapping[str, int],
+        case_key: str,
         drift_flagged: bool,
         half_open: bool,
         budget: Budget | None,
@@ -491,7 +569,7 @@ class DispatchCore:
         )
         if trigger is None:
             return None
-        delay = policy.delay(device_name, self.case_key(region_name, env))
+        delay = policy.delay(device_name, case_key)
         if delay is None or not math.isfinite(delay):
             return None
         return trigger, delay
@@ -551,17 +629,11 @@ class DispatchCore:
             extra_work_s=0.0,  # the fallback would run the backup regardless
         )
 
-    def hedge_observe(
-        self,
-        device_name: str,
-        region_name: str,
-        env: Mapping[str, int],
-        seconds: float,
-    ) -> None:
+    def hedge_observe(self, device_name: str, case_key: str, seconds: float) -> None:
         """Feed a case's accelerator seconds into the delay sketch."""
         policy = getattr(self.owner, "hedge", None)
         if policy is not None:
-            policy.observe(device_name, self.case_key(region_name, env), seconds)
+            policy.observe(device_name, case_key, seconds)
 
     @staticmethod
     def half_open(health) -> bool:
@@ -578,22 +650,33 @@ class DispatchCore:
         """Feed both streams; count verdict transitions when metrics are on."""
         owner = self.owner
         sentinel, metrics = owner.sentinel, owner.metrics
-        before = (
-            {dev: sentinel.state(dev, stream_key) for dev in ("cpu", "gpu")}
-            if metrics is not None
-            else None
+        if metrics is None:
+            sentinel.observe("cpu", stream_key, prediction.cpu.seconds, cpu_seconds)
+            sentinel.observe("gpu", stream_key, prediction.gpu.seconds, gpu_seconds)
+            return
+        cpu_before = sentinel.state("cpu", stream_key)
+        gpu_before = sentinel.state("gpu", stream_key)
+        cpu_after = sentinel.observe(
+            "cpu", stream_key, prediction.cpu.seconds, cpu_seconds
         )
-        sentinel.observe("cpu", stream_key, prediction.cpu.seconds, cpu_seconds)
-        sentinel.observe("gpu", stream_key, prediction.gpu.seconds, gpu_seconds)
-        if metrics is not None:
-            for dev in ("cpu", "gpu"):
-                after = sentinel.state(dev, stream_key)
-                if after is not before[dev]:
-                    metrics.counter(
-                        "drift_transitions_total", device=dev, to=after.value
-                    ).inc()
+        gpu_after = sentinel.observe(
+            "gpu", stream_key, prediction.gpu.seconds, gpu_seconds
+        )
+        if cpu_after is not cpu_before or gpu_after is not gpu_before:
+            transitions = self._launch_metrics(metrics).drift_transitions
+            if cpu_after is not cpu_before:
+                transitions.labels("cpu", cpu_after.value).inc()
+            if gpu_after is not gpu_before:
+                transitions.labels("gpu", gpu_after.value).inc()
 
     # -- metrics --------------------------------------------------------------
+    def _launch_metrics(self, registry) -> _LaunchMetrics:
+        """The pre-bound families of ``registry`` (rebound if it changed)."""
+        bundle = self._metrics
+        if bundle is None or bundle.registry is not registry:
+            bundle = self._metrics = _LaunchMetrics(registry)
+        return bundle
+
     def record_metrics(
         self,
         record,
@@ -613,59 +696,44 @@ class DispatchCore:
         tails reflect real dispatch work.
         """
         metrics = self.owner.metrics
-        metrics.counter("launches_total", device=executed_device).inc()
+        m = self._launch_metrics(metrics)
+        m.launches.labels(executed_device).inc()
         tenant = getattr(record, "tenant", None)
         if tenant is not None:
-            metrics.counter("tenant_launches_total", tenant=tenant).inc()
-        sketch = metrics.quantiles("dispatch_overhead_seconds")
+            m.tenant_launches.labels(tenant).inc()
+        sketch = m.overhead.labels()
         if record.overhead_seconds != 0.0:
             sketch.observe(record.overhead_seconds)
         else:
-            metrics.counter("dispatch_overhead_zero_total").inc()
+            m.overhead_zero.labels().inc()
         if record.admission is not None:
-            metrics.counter("admission_total", outcome=record.admission).inc()
+            m.admission.labels(record.admission).inc()
         if record.fallback is not None:
-            metrics.counter("fallbacks_total", reason=record.fallback).inc()
+            m.fallbacks.labels(record.fallback).inc()
         if record.attempts > 1:
             metrics.counter("retries_total", **retries_labels).inc(
                 record.attempts - 1
             )
         for ev in record.fault_events:
-            metrics.counter("fault_events_total", type=ev.error_type).inc()
+            m.fault_events.labels(ev.error_type).inc()
         for name, health in healths:
-            metrics.gauge("breaker_open_transitions", device=name).set(
-                health.breaker.transitions.count("open")
-            )
+            m.breaker_open.labels(name).set(health.breaker.open_count)
         if record.lint is not None:
-            metrics.counter("lint_findings_total", severity="error").inc(
-                record.lint.errors
-            )
-            metrics.counter("lint_findings_total", severity="warning").inc(
-                record.lint.warnings
-            )
+            m.lint_findings.labels("error").inc(record.lint.errors)
+            m.lint_findings.labels("warning").inc(record.lint.warnings)
             if record.lint.blocked:
-                metrics.counter("lint_blocked_total").inc()
+                m.lint_blocked.labels().inc()
         drift = record.drift
         if drift is not None:
             if isinstance(drift, tuple):  # multi-device (device, state) pairs
                 for device, state in drift:
-                    metrics.counter(
-                        "drift_flagged_total", device=device, state=state
-                    ).inc()
+                    m.drift_flagged.labels(device, state).inc()
             else:
-                metrics.counter(
-                    "drift_decisions_total", mode=drift.mode
-                ).inc()
+                m.drift_decisions.labels(drift.mode).inc()
         hedge = getattr(record, "hedge", None)
         if hedge is not None:
-            metrics.counter(
-                "hedged_launches_total",
-                trigger=hedge.trigger,
-                winner=hedge.winner,
-            ).inc()
-            metrics.quantiles("hedge_extra_work_seconds").observe(
-                hedge.extra_work_s
-            )
+            m.hedged.labels(hedge.trigger, hedge.winner).inc()
+            m.hedge_extra.labels().observe(hedge.extra_work_s)
         for device, predicted, observed in pred_triples:
             if (
                 predicted > 0.0
@@ -673,7 +741,41 @@ class DispatchCore:
                 and math.isfinite(predicted)
                 and math.isfinite(observed)
             ):
-                metrics.histogram(
-                    "prediction_abs_log_error", device=device
-                ).observe(abs(math.log10(predicted / observed)))
-        metrics.gauge("sim_clock_seconds").set(self.owner.clock.now)
+                m.pred_error.labels(device).observe(
+                    abs(math.log10(predicted / observed))
+                )
+        m.sim_clock.labels().set(self.owner.clock.now)
+
+
+#: (attribute, kind, metric name, label names) of every instrument the
+#: core touches per launch; held as pre-bound families by _LaunchMetrics
+_LAUNCH_FAMILIES = (
+    ("launches", "counter", "launches_total", ("device",)),
+    ("tenant_launches", "counter", "tenant_launches_total", ("tenant",)),
+    ("overhead", "quantiles", "dispatch_overhead_seconds", ()),
+    ("overhead_zero", "counter", "dispatch_overhead_zero_total", ()),
+    ("admission", "counter", "admission_total", ("outcome",)),
+    ("fallbacks", "counter", "fallbacks_total", ("reason",)),
+    ("fault_events", "counter", "fault_events_total", ("type",)),
+    ("breaker_open", "gauge", "breaker_open_transitions", ("device",)),
+    ("lint_findings", "counter", "lint_findings_total", ("severity",)),
+    ("lint_blocked", "counter", "lint_blocked_total", ()),
+    ("drift_flagged", "counter", "drift_flagged_total", ("device", "state")),
+    ("drift_decisions", "counter", "drift_decisions_total", ("mode",)),
+    ("drift_transitions", "counter", "drift_transitions_total", ("device", "to")),
+    ("hedged", "counter", "hedged_launches_total", ("trigger", "winner")),
+    ("hedge_extra", "quantiles", "hedge_extra_work_seconds", ()),
+    ("pred_error", "histogram", "prediction_abs_log_error", ("device",)),
+    ("sim_clock", "gauge", "sim_clock_seconds", ()),
+)
+
+
+class _LaunchMetrics:
+    """One registry's families for :meth:`DispatchCore.record_metrics`."""
+
+    __slots__ = ("registry",) + tuple(spec[0] for spec in _LAUNCH_FAMILIES)
+
+    def __init__(self, registry):
+        self.registry = registry
+        for attr, kind, name, labelnames in _LAUNCH_FAMILIES:
+            setattr(self, attr, registry.family(kind, name, *labelnames))

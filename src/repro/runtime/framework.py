@@ -206,7 +206,7 @@ class OffloadingRuntime:
         self._healer = (
             SelfHealingSelector(self.sentinel) if self.sentinel else None
         )
-        self._core = DispatchCore(self)
+        self._core = DispatchCore(self, (self._host, self._accel))
 
     # -- compile time -------------------------------------------------------
     def compile_region(self, region: Region) -> RegionAttributes:
@@ -283,9 +283,10 @@ class OffloadingRuntime:
         self, region_name: str, env: Mapping[str, int]
     ) -> LaunchRecord:
         """The admission-degraded path: straight to the host, no models."""
-        attrs = self.db.lookup(region_name)
-        cpu_seconds = self._core.measure(self._host, attrs, env)
-        gpu_seconds = self._core.measure(self._accel, attrs, env)
+        core = self._core
+        ctx = core.case(region_name, env)
+        cpu_seconds = core.measure(ctx, 0)
+        gpu_seconds = core.measure(ctx, 1)
         return LaunchRecord(
             region_name=region_name,
             target="cpu",
@@ -306,11 +307,11 @@ class OffloadingRuntime:
         budget: Budget | None = None,
     ) -> LaunchRecord:
         core = self._core
-        attrs = self.db.lookup(region_name)
-        bound = core.bound(attrs, env)
+        ctx = core.case(region_name, env)
+        bound = core.bound(ctx)
 
-        cpu_seconds = core.measure(self._host, attrs, env)
-        gpu_seconds = core.measure(self._accel, attrs, env)
+        cpu_seconds = core.measure(ctx, 0)
+        gpu_seconds = core.measure(ctx, 1)
 
         with tracer.span(
             "predict", region=region_name, policy=self.policy.name
@@ -327,9 +328,7 @@ class OffloadingRuntime:
             # the drift provenance).  None while everything is CALIBRATED.
             drift_decision: DriftDecision | None = None
             if self._healer is not None and prediction is not None:
-                drift_decision = self._healer.decide(
-                    core.sentinel_key(region_name, env), prediction
-                )
+                drift_decision = self._healer.decide(ctx.sentinel_key, prediction)
                 if drift_decision is not None:
                     requested = drift_decision.target
             if tracer.enabled:
@@ -352,7 +351,7 @@ class OffloadingRuntime:
         with tracer.span(
             "dispatch", region=region_name, requested=requested
         ) as dspan:
-            lint_decision = core.lint_decision(attrs.region)
+            lint_decision = core.lint_decision(ctx.attrs.region)
 
             self.health.breaker.on_launch()
             if (
@@ -371,8 +370,7 @@ class OffloadingRuntime:
                 launch_index = self._accel_launches
                 plan = core.hedge_plan(
                     device_name=self._accel.name,
-                    region_name=region_name,
-                    env=env,
+                    case_key=ctx.case_key,
                     drift_flagged=drift_decision is not None,
                     half_open=core.half_open(self.health),
                     budget=budget,
@@ -383,8 +381,7 @@ class OffloadingRuntime:
                 result = core.attempt(
                     health=self.health,
                     device=self._accel,
-                    attrs=attrs,
-                    env=env,
+                    ctx=ctx,
                     launch_index=launch_index,
                     budget=budget,
                 )
@@ -457,15 +454,12 @@ class OffloadingRuntime:
         executed += overhead
         if hedge is not None:
             executed = hedge.completion_s
-        core.hedge_observe(self._accel.name, region_name, env, gpu_seconds)
+        core.hedge_observe(self._accel.name, ctx.case_key, gpu_seconds)
         if self.sentinel is not None and prediction is not None:
             # post-mortem: both sides are simulated every launch, so both
             # streams learn regardless of where the region actually ran
             core.observe_sentinel_pair(
-                core.sentinel_key(region_name, env),
-                prediction,
-                cpu_seconds,
-                gpu_seconds,
+                ctx.sentinel_key, prediction, cpu_seconds, gpu_seconds
             )
         return LaunchRecord(
             region_name=region_name,

@@ -14,6 +14,10 @@ The memo is safe to share across runtimes (and across replay scenarios)
 as long as they run the same platform and host team size: keys include
 the executing device names, so a memo accidentally shared across
 platforms misses rather than lies.
+
+Each runtime's dispatch core interns what it read from the memo in one
+:class:`~repro.runtime.CaseContext` per case, so a warm launch costs one
+dict lookup instead of a memo lookup (and an ``env`` sort) per value.
 """
 
 from __future__ import annotations

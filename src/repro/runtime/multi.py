@@ -59,6 +59,7 @@ from .dispatch import (
     FALLBACK_HEDGE,
     Budget,
     Bulkhead,
+    CaseContext,
     DispatchCore,
     HedgeOutcome,
     HedgePolicy,
@@ -189,7 +190,7 @@ class MultiDeviceRuntime:
             self.tracer.clock = self.clock  # span timestamps follow this runtime
         if self.sentinel is not None and self.sentinel.clock is None:
             self.sentinel.clock = self.clock  # drift transitions get timestamps
-        self._core = DispatchCore(self)
+        self._core = DispatchCore(self, (self._host, *self._accels))
 
     def compile_region(self, region: Region):
         with self.tracer.activate():
@@ -247,8 +248,7 @@ class MultiDeviceRuntime:
 
     def _dispatch(
         self,
-        region: Region,
-        env: Mapping[str, int],
+        ctx: CaseContext,
         candidates: list[DeviceOutcome],
         budget: Budget | None = None,
     ) -> tuple[str, int, tuple[FaultEvent, ...], float, str | None]:
@@ -257,7 +257,6 @@ class MultiDeviceRuntime:
         events: list[FaultEvent] = []
         overhead = 0.0
         reason: str | None = None
-        attrs = self.db.lookup(region.name)
         core = self._core
         for cand in candidates:
             if cand.kind == "cpu":
@@ -275,8 +274,7 @@ class MultiDeviceRuntime:
             result = core.attempt(
                 health=health,
                 device=gpu,
-                attrs=attrs,
-                env=env,
+                ctx=ctx,
                 launch_index=index,
                 budget=budget,
             )
@@ -292,8 +290,8 @@ class MultiDeviceRuntime:
         self, region_name: str, env: Mapping[str, int]
     ) -> MultiLaunchRecord:
         """The admission-degraded path: straight to the host, no models."""
-        attrs = self.db.lookup(region_name)
-        host_seconds = self._core.measure(self._host, attrs, env)
+        core = self._core
+        host_seconds = core.measure(core.case(region_name, env), 0)
         outcome = DeviceOutcome(
             device_name=self._host.name,
             kind="cpu",
@@ -363,14 +361,16 @@ class MultiDeviceRuntime:
         budget: Budget | None = None,
     ) -> MultiLaunchRecord:
         core = self._core
-        attrs = self.db.lookup(region_name)
-        skey = core.sentinel_key(region_name, env)
-        bound = core.bound(attrs, env)
+        ctx = core.case(region_name, env)
+        skey = ctx.sentinel_key
+        bound = core.bound(ctx)
 
         outcomes: list[DeviceOutcome] = []
-        host_seconds = core.measure(self._host, attrs, env)
+        host_seconds = core.measure(ctx, 0)
         host_pred = None
-        for slot, dev in zip(self.platform.accelerators, self._accels):
+        for index, (slot, dev) in enumerate(
+            zip(self.platform.accelerators, self._accels), start=1
+        ):
             with tracer.span(
                 "predict", region=region_name, device=dev.name
             ) as pspan:
@@ -393,7 +393,7 @@ class MultiDeviceRuntime:
                     device_name=dev.name,
                     kind="gpu",
                     predicted_seconds=pred.gpu.seconds,
-                    measured_seconds=core.measure(dev, attrs, env),
+                    measured_seconds=core.measure(ctx, index),
                 )
             )
 
@@ -420,9 +420,7 @@ class MultiDeviceRuntime:
         with tracer.span(
             "dispatch", region=region_name, chosen=chosen
         ) as dspan:
-            lint_decision = (
-                self.lint_gate.decide(attrs.region) if self.lint_gate else None
-            )
+            lint_decision = core.lint_decision(ctx.attrs.region)
             if (
                 lint_decision is not None
                 and lint_decision.blocked
@@ -454,8 +452,7 @@ class MultiDeviceRuntime:
             if chosen_outcome.kind == "gpu":
                 plan = core.hedge_plan(
                     device_name=chosen,
-                    region_name=region_name,
-                    env=env,
+                    case_key=ctx.case_key,
                     drift_flagged=(
                         self.sentinel is not None
                         and self.sentinel.state(chosen, skey)
@@ -475,7 +472,7 @@ class MultiDeviceRuntime:
             ]
             order += [o for o in ranked if o.kind == "cpu"]
             executed, attempts, events, overhead, reason = self._dispatch(
-                attrs.region, env, order, budget
+                ctx, order, budget
             )
 
             # Watchdog: the executed accelerator's own (corrected) prediction
@@ -534,9 +531,7 @@ class MultiDeviceRuntime:
                     )
             for o in outcomes:
                 if o.kind == "gpu":
-                    core.hedge_observe(
-                        o.device_name, region_name, env, o.measured_seconds
-                    )
+                    core.hedge_observe(o.device_name, ctx.case_key, o.measured_seconds)
 
             if tracer.enabled:
                 dspan.set("executed", executed)

@@ -190,6 +190,7 @@ class TestCircuitBreaker:
         assert br.state is BreakerState.HALF_OPEN
         br.record_failure()
         assert br.state is BreakerState.OPEN
+        assert br.open_count == br.transitions.count("open") == 2
 
     def test_success_resets_consecutive_count(self):
         br = CircuitBreaker(failure_threshold=2)

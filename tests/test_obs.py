@@ -181,6 +181,84 @@ class TestMetrics:
         } | {"le_inf"}
 
 
+class TestFamilies:
+    """Pre-bound children: the same instruments, fewer key builds."""
+
+    def test_child_is_the_get_or_create_instrument(self):
+        reg = MetricsRegistry()
+        launches = reg.family("counter", "launches_total", "device")
+        child = launches.labels("gpu")
+        assert child is reg.counter("launches_total", device="gpu")
+        assert launches.labels("gpu") is child
+        sketch = reg.family("quantiles", "wait").labels()
+        assert sketch is reg.quantiles("wait")
+        hist = reg.family("histogram", "err", "device").labels("cpu")
+        assert hist is reg.histogram("err", device="cpu")
+        gauge = reg.family("gauge", "clock").labels()
+        assert gauge is reg.gauge("clock")
+
+    def test_families_are_shared_per_name_and_labels(self):
+        reg = MetricsRegistry()
+        assert reg.family("counter", "c", "a") is reg.family("counter", "c", "a")
+        assert reg.family("counter", "c", "a") is not reg.family("counter", "c")
+        with pytest.raises(ValueError):
+            reg.family("summary", "c")
+
+    def test_multi_label_child_keys_sort_like_get_or_create(self):
+        reg = MetricsRegistry()
+        reg.family("counter", "hedged", "winner", "trigger").labels("backup", "slow").inc()
+        assert reg.snapshot()["counters"] == {"hedged{trigger=slow,winner=backup}": 1}
+
+    def test_untouched_children_are_absent_from_the_snapshot(self):
+        reg = MetricsRegistry()
+        fam = reg.family("counter", "fallbacks_total", "reason")
+        reg.family("quantiles", "hedge_extra_work_seconds")
+        assert reg.snapshot() == MetricsRegistry().snapshot()
+        fam.labels("breaker-open").inc()
+        assert reg.snapshot()["counters"] == {"fallbacks_total{reason=breaker-open}": 1}
+        assert reg.snapshot()["quantiles"] == {}
+
+    @staticmethod
+    def _feed(reg: MetricsRegistry, values, *, bound: bool):
+        for i, v in enumerate(values):
+            device = "gpu" if i % 2 else "cpu"
+            if bound:
+                reg.family("counter", "launches_total", "device").labels(device).inc()
+                reg.family("histogram", "err", "device").labels(device).observe(v)
+                reg.family("quantiles", "wait").labels().observe(v)
+                reg.family("gauge", "clock").labels().set(v)
+            else:
+                reg.counter("launches_total", device=device).inc()
+                reg.histogram("err", device=device).observe(v)
+                reg.quantiles("wait").observe(v)
+                reg.gauge("clock").set(v)
+
+    def test_bound_and_get_or_create_snapshots_are_byte_identical(self):
+        values = [0.0625, 0.5, 2.0, 0.03125, 5.0, 0.015625]
+        plain, bound = MetricsRegistry(), MetricsRegistry()
+        self._feed(plain, values, bound=False)
+        self._feed(bound, values, bound=True)
+        assert json.dumps(bound.snapshot()) == json.dumps(plain.snapshot())
+
+    def test_merge_snapshot_totals_are_unchanged(self):
+        values = [0.0625, 0.5, 2.0, 0.03125, 5.0, 0.015625]
+        merged = {}
+        for bound in (False, True):
+            total = MetricsRegistry()
+            for chunk in (values[:2], values[2:5], values[5:]):
+                worker = MetricsRegistry()
+                self._feed(worker, chunk, bound=bound)
+                total.merge_snapshot(worker.snapshot())
+            # merged registries keep serving children afterwards
+            total.family("counter", "launches_total", "device").labels("cpu").inc()
+            merged[bound] = json.dumps(total.snapshot())
+        assert merged[True] == merged[False]
+        assert json.loads(merged[True])["counters"] == {
+            "launches_total{device=cpu}": 5,
+            "launches_total{device=gpu}": 2,
+        }
+
+
 class TestQuantileSketch:
     """Deterministic streaming quantiles (the replay overhead gates)."""
 
