@@ -16,13 +16,8 @@ window, and shed/degraded fractions.  See docs/ROBUSTNESS.md.
 
 from .admission import ADMISSION_POLICIES, AdmissionConfig, AdmissionQueue
 from .chaos import CHAOS_KINDS, ChaosSchedule, ChaosWindow
-from .engine import (
-    MemoizedPolicy,
-    ReplayConfig,
-    ReplayEngine,
-    ReplayOutcome,
-    ReplayRun,
-)
+from .engine import MemoizedPolicy, ReplayConfig, ReplayEngine, ReplayRun
+from .outcome import ReplayOutcome
 from .score import ReplayScore, TenantScore, WindowScore, score_run
 from .service import DeviceLane, OffloadService, ServiceConfig, ServiceStats
 from .workload import (

@@ -22,12 +22,21 @@ same policy yields byte-identical accounting.  An **unbounded** queue
 (``capacity=None``) admits everything and never consults the policy —
 that configuration is the differential-test arm proving the queue is
 pure bookkeeping on the happy path.
+
+The same class is the admission state of each offload-service lane
+(:class:`~.service.DeviceLane`): there admitted requests wait in
+``pending`` for their batch and finishes book out of order across the
+lane's servers, so depth counts both and drains every elapsed finish.
+``server_free_at`` is the running maximum of booked finishes, so the
+end-of-trace drain, which empties the finish times, still resumes
+parked requests behind the last launch.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -78,19 +87,31 @@ class AdmissionConfig:
 
 
 class AdmissionQueue:
-    """Deterministic single-server FIFO bookkeeping.
+    """Deterministic FIFO admission bookkeeping on the simulated clock.
 
     The engine drives it with three calls per request: ``resumable`` /
     ``decide`` on arrival, then ``start``/``finish`` around each launch
-    it actually runs.  The queue never touches the runtime — it only
-    watches the clock arithmetic — so attaching it cannot perturb a
-    single record.
+    it actually runs.  The offload service gives each of its device
+    lanes one queue and drives the lower-level ``launched`` / ``book``
+    itself, because its lanes compute start times from their own server
+    pools.  The queue never touches the runtime — it only watches the
+    clock arithmetic — so attaching it cannot perturb a single record.
     """
 
     def __init__(self, config: AdmissionConfig):
         self.config = config
-        self._finish_times: deque[float] = deque()
+        #: admitted ``(request, label, depth)`` entries not yet launched,
+        #: in FIFO order.  The engine launches each admit at once, so its
+        #: queue never holds any; a service lane holds them until their
+        #: batch opens.
+        self.pending: deque = deque()
+        # min-heap: a multi-server lane books finishes out of order
+        self._finish_times: list[float] = []
         self._parked: deque = deque()
+        #: latest booked finish — a running maximum, so draining the
+        #: finish times (``depth(inf)`` at the end of the trace) never
+        #: hands a parked request a server that is still busy
+        self.server_free_at = 0.0
         # -- accounting ------------------------------------------------
         self.admitted = 0
         self.shed = 0
@@ -106,12 +127,8 @@ class AdmissionQueue:
         """Launches waiting or in service at ``now`` (drains finished)."""
         ft = self._finish_times
         while ft and ft[0] <= now:
-            ft.popleft()
-        return len(ft)
-
-    @property
-    def server_free_at(self) -> float:
-        return self._finish_times[-1] if self._finish_times else 0.0
+            heappop(ft)
+        return len(self.pending) + len(ft)
 
     # -- arrival -----------------------------------------------------------
     def resumable(self, now: float):
@@ -143,18 +160,27 @@ class AdmissionQueue:
     def start(self, arrival_s: float) -> float:
         """Admit one launch; return its (FIFO) service start time."""
         start = max(arrival_s, self.server_free_at)
-        wait = start - arrival_s
-        self.admitted += 1
-        self.total_wait_s += wait
-        self.max_wait_s = max(self.max_wait_s, wait)
+        self.launched(start - arrival_s, self.depth(arrival_s))
         return start
+
+    def launched(self, wait_s: float, depth: int) -> None:
+        """Count one launch that waited ``wait_s`` behind ``depth`` others."""
+        self.admitted += 1
+        self.total_wait_s += wait_s
+        self.max_wait_s = max(self.max_wait_s, wait_s)
+        # the newcomer itself counts; door-shed requests never get here
+        self.max_depth = max(self.max_depth, depth + 1)
 
     def finish(self, start_s: float, service_s: float) -> float:
         """Record one launch's service; return its finish time."""
         finish = start_s + max(service_s, 0.0)
-        self._finish_times.append(finish)
-        self.max_depth = max(self.max_depth, len(self._finish_times))
+        self.book(finish)
         return finish
+
+    def book(self, finish_s: float) -> None:
+        """Occupy the queue until ``finish_s``."""
+        heappush(self._finish_times, finish_s)
+        self.server_free_at = max(self.server_free_at, finish_s)
 
     @property
     def parked_count(self) -> int:

@@ -15,6 +15,11 @@ simulated clock (:mod:`.chaos`), a bounded admission queue
    drift-transition timestamps live on this clock), launches, and books
    the service time back into the queue.
 
+With ``ReplayConfig.service`` the trace runs through the
+:class:`~.service.OffloadService` instead: per-device lanes, each with
+its own :class:`~.admission.AdmissionQueue`, sharing the engine's
+launch path and the budget door of :mod:`.outcome`.
+
 Two throughput levers make 10⁵-launch traces practical without touching
 a single recorded value: an :class:`~repro.runtime.ExecutionMemo` caches
 the deterministic per-(region, env) simulated times / bindings /
@@ -33,7 +38,6 @@ from ..drift import DriftSentinel, Watchdog
 from ..machines import Platform
 from ..obs import MetricsRegistry
 from ..runtime import (
-    Budget,
     Bulkhead,
     ExecutionMemo,
     HedgePolicy,
@@ -43,6 +47,7 @@ from ..runtime import (
 )
 from .admission import AdmissionConfig, AdmissionQueue
 from .chaos import ChaosSchedule
+from .outcome import EXPIRED, ReplayOutcome, door
 from .service import OffloadService, ServiceConfig
 from .workload import LaunchRequest, WorkloadConfig, build_catalog, generate_requests
 
@@ -99,25 +104,6 @@ class MemoizedPolicy:
         self._cache[key] = (bound, result)
         self.misses += 1
         return result
-
-
-@dataclass(frozen=True)
-class ReplayOutcome:
-    """What happened to one request of the trace."""
-
-    index: int
-    arrival_s: float
-    outcome: str  # "ok" | "resumed" | "degraded" | "shed" | "expired"
-    start_s: float | None = None  # service start (None when never launched)
-    record: object | None = None  # LaunchRecord / MultiLaunchRecord / None
-    #: pipeline completion (D2H done) — only the offload service models
-    #: phase overlap, so the legacy path leaves it None and the scorer
-    #: falls back to start + executed_seconds
-    finish_s: float | None = None
-
-    @property
-    def launched(self) -> bool:
-        return self.record is not None
 
 
 @dataclass(frozen=True)
@@ -267,30 +253,13 @@ class ReplayEngine:
         label: str,
         wait_sketch,
     ) -> None:
-        budget = None
-        if self.config.budget_s is not None:
-            budget = Budget(self.config.budget_s)
-            # the FIFO start time is max(arrival, server_free_at), so the
-            # wait is known before the server is committed: a request
-            # whose whole budget would burn in the queue sheds at the
-            # door ("expired") instead of occupying the server with work
-            # its client already gave up on — which is also what keeps a
-            # backlogged stretch from cascading
-            projected_wait = max(queue.server_free_at - request.arrival_s, 0.0)
-            if projected_wait >= budget.total_s:
-                outcomes.append(
-                    ReplayOutcome(
-                        index=request.index,
-                        arrival_s=request.arrival_s,
-                        outcome="expired",
-                    )
-                )
-                return
+        # the FIFO start is max(arrival, server_free_at): the wait is
+        # known before the server is committed
+        wait = max(queue.server_free_at - request.arrival_s, 0.0)
+        budget = door(request, wait, self.config.budget_s, outcomes, wait_sketch)
+        if budget is EXPIRED:
+            return
         start = queue.start(request.arrival_s)
-        wait = start - request.arrival_s
-        wait_sketch.labels().observe(wait)
-        if budget is not None:
-            budget.charge(wait)
         self._advance_to(start)
         record = self._launch(request, budget=budget)
         finish = queue.finish(start, record.executed_seconds)

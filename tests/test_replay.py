@@ -1,7 +1,8 @@
 """Tests for the traffic-replay subsystem (repro.replay).
 
 Covers workload-generator determinism and stream isolation, admission
-queue bookkeeping, the zero-chaos differential (a replay is bit-identical
+queue bookkeeping, north-star invariants of the single-server FIFO
+engine (derandomized hypothesis), the zero-chaos differential (a replay is bit-identical
 to an equivalent sequential sweep), chaos window detection/recovery,
 overload policies, memoization transparency, and the experiment-level
 scenario grid.
@@ -10,6 +11,7 @@ scenario grid.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.drift import DriftSentinel, Watchdog
 from repro.machines import PLATFORM_P9_V100
@@ -177,6 +179,17 @@ class TestAdmissionQueue:
         q.park("parked")
         assert q.decide(2.0) == "shed"  # park buffer full
         assert q.deferred == 1 and q.shed == 1
+
+    def test_server_free_at_survives_a_full_drain(self):
+        # depth(inf) drains every booked finish; the server must still
+        # read busy until the last one, or a request resumed after the
+        # drain would start on top of the launch before it
+        q = AdmissionQueue(AdmissionConfig(capacity=2, policy="defer"))
+        q.finish(q.start(0.0), 2.0)
+        q.finish(q.start(0.5), 3.0)
+        assert q.depth(float("inf")) == 0
+        assert q.server_free_at == 5.0
+        assert q.start(1.0) == 5.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -377,6 +390,75 @@ class TestOverload:
         )
         run = _engine(cfg, shared).run()
         assert [o.index for o in run.outcomes] == list(range(200))
+
+
+# one module-scope memo for the property tests: hypothesis re-invokes
+# the test body per example, and a cold memo per example is pure waste
+_PROP_SHARED = {"memo": ExecutionMemo(), "policy": MemoizedPolicy()}
+
+_ADMISSION_SHAPES = {
+    "unbounded": {},
+    "reject": dict(admission=AdmissionConfig(capacity=8, policy="reject")),
+    "degrade": dict(admission=AdmissionConfig(capacity=8, policy="degrade")),
+    "defer": dict(
+        admission=AdmissionConfig(capacity=8, policy="defer", defer_capacity=16)
+    ),
+    "budget": dict(budget_s=2e-3),
+}
+
+
+class TestLegacyProperties:
+    """North-star invariants of the single-server FIFO engine.
+
+    A derandomized hypothesis sweep over overloaded trace seeds, for
+    every admission shape: served launches never overlap on the one
+    server, the horizon covers every finish, each request gets exactly
+    one outcome, and the runtime clock only moves forward — never past
+    the start of the launch it is about to run.
+    """
+
+    @pytest.mark.parametrize("shape", sorted(_ADMISSION_SHAPES))
+    @settings(derandomize=True, deadline=None, max_examples=5)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_north_star_invariants(self, shape, seed):
+        cfg = ReplayConfig(
+            platform=PLATFORM_P9_V100,
+            workload=WorkloadConfig(
+                launches=300, seed=seed, mean_interarrival_s=2e-5
+            ),
+            **_ADMISSION_SHAPES[shape],
+        )
+        engine = _engine(cfg, _PROP_SHARED)
+        launch = engine._launch
+        launched = []  # (index, runtime clock at launch) in launch order
+
+        def recording_launch(request, **kwargs):
+            launched.append((request.index, engine.runtime.clock.now))
+            return launch(request, **kwargs)
+
+        engine._launch = recording_launch
+        run = engine.run()
+
+        assert [o.index for o in run.outcomes] == list(range(300))
+        assert len(launched) == len(run.records)
+        clocks = [clock for _, clock in launched]
+        assert all(a <= b for a, b in zip(clocks, clocks[1:]))
+
+        by_index = {o.index: o for o in run.outcomes}
+        served = [
+            by_index[i]
+            for i, _ in launched
+            if by_index[i].outcome in ("ok", "resumed")
+        ]
+        free_at = 0.0
+        for o in served:
+            assert o.start_s >= free_at, "two launches share the server"
+            free_at = o.start_s + max(o.record.executed_seconds, 0.0)
+            assert run.horizon_s >= free_at
+        for index, clock in launched:
+            o = by_index[index]
+            if o.outcome in ("ok", "resumed"):
+                assert clock <= o.start_s + 1e-12
 
 
 class TestEngine:

@@ -2,10 +2,11 @@
 
 Pins the service with three harnesses:
 
-* a differential suite — the service in its legacy-equivalent
-  configuration is byte-identical to the historical single-server FIFO
-  across the whole chaos/overload/budget grid, and seeded service-mode
-  reruns are byte-identical to themselves;
+* a differential suite — the service and the legacy single-server FIFO
+  keep the same run contract (one outcome per request, accounting that
+  matches the outcomes, a horizon covering every finish) across the
+  whole chaos/overload/budget grid, and seeded service-mode reruns are
+  byte-identical to themselves;
 * derandomized hypothesis property tests — request conservation, no
   compute server runs two phases at once, per-tenant FIFO within a
   lane, and the dispatch clock never goes backwards;
@@ -51,20 +52,15 @@ def _engine(cfg: ReplayConfig, shared) -> ReplayEngine:
 
 
 def _twin_runs(shared, **cfg_kwargs):
-    """One legacy run and one compat-mode service run of the same trace."""
+    """One legacy run and one service run of the same trace."""
     legacy = _engine(
         ReplayConfig(platform=PLATFORM_P9_V100, **cfg_kwargs), shared
     ).run()
-    compat = _engine(
-        ReplayConfig(
-            platform=PLATFORM_P9_V100,
-            service=True,
-            service_config=ServiceConfig.legacy_equivalent(),
-            **cfg_kwargs,
-        ),
+    service = _engine(
+        ReplayConfig(platform=PLATFORM_P9_V100, service=True, **cfg_kwargs),
         shared,
     ).run()
-    return legacy, compat
+    return legacy, service
 
 
 class TestServiceConfig:
@@ -80,20 +76,15 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             ServiceConfig(max_batch=0)
 
-    def test_legacy_equivalent_is_single_serial_lane(self):
-        cfg = ServiceConfig.legacy_equivalent()
-        assert cfg.servers == cfg.host_servers == cfg.max_batch == 1
-        assert not cfg.batching and not cfg.overlap
-        assert cfg.quantum_s == 0.0
-
 
 class TestCompatDifferential:
-    """service=True with the legacy-equivalent shape is a byte-for-byte
+    """The service keeps the legacy engine's run contract on one trace.
 
-    re-implementation of the single-server FIFO: same records, same
-    outcomes, same horizon, same score, same queue accounting — across
-    steady state, chaos, every overload policy, deadline budgets, and
-    hedged launches behind a bulkhead.
+    Across steady state, chaos, every overload policy, deadline budgets
+    and hedged launches behind a bulkhead, both twins give every request
+    exactly one outcome, their queue accounting agrees with those
+    outcomes, their horizon covers every queued launch's finish, and the
+    legacy twin's one server never runs two launches at once.
     """
 
     SCENARIOS = {
@@ -140,37 +131,35 @@ class TestCompatDifferential:
     }
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_compat_mode_is_byte_identical(self, scenario, shared):
-        legacy, compat = _twin_runs(shared, **self.SCENARIOS[scenario])
+    def test_twins_keep_the_run_contract(self, scenario, shared):
+        legacy, service = _twin_runs(shared, **self.SCENARIOS[scenario])
+        assert legacy.requests == service.requests
+        n = len(legacy.requests)
 
-        assert compat.records == legacy.records
-        assert compat.horizon_s == legacy.horizon_s
-        assert len(compat.outcomes) == len(legacy.outcomes)
-        for ours, theirs in zip(compat.outcomes, legacy.outcomes):
-            assert ours.index == theirs.index
-            assert ours.outcome == theirs.outcome
-            assert ours.arrival_s == theirs.arrival_s
-            assert ours.start_s == theirs.start_s
-            assert ours.record == theirs.record
-            # finish_s is the one field only the service fills in; in
-            # compat mode it must equal start + executed wall time
-            if ours.record is not None and ours.start_s is not None:
-                assert ours.finish_s == pytest.approx(
-                    ours.start_s + ours.record.executed_seconds
-                )
+        for run in (legacy, service):
+            assert [o.index for o in run.outcomes] == list(range(n))
+            counts = run.outcome_counts()
+            snap = run.queue.snapshot()
+            assert snap["admitted"] == counts.get("ok", 0) + counts.get("resumed", 0)
+            assert snap["shed"] == counts.get("shed", 0)
+            assert snap["degraded"] == counts.get("degraded", 0)
+            # the end-of-trace drain re-admits everything still parked
+            assert snap["resumed"] == snap["deferred"]
+            assert snap["max_depth"] <= (run.config.admission.capacity or n)
+            for o in run.outcomes:
+                if o.outcome in ("ok", "resumed"):
+                    finish = o.finish_s
+                    if finish is None:
+                        finish = o.start_s + max(o.record.executed_seconds, 0.0)
+                    assert run.horizon_s >= finish
+            payload = score_run(run).to_payload()
+            assert json.loads(json.dumps(payload)) == payload
 
-        # scores agree on everything except the service-only extras
-        ours = score_run(compat).to_payload()
-        theirs = score_run(legacy).to_payload()
-        ours.pop("service")
-        theirs.pop("service")
-        assert ours == theirs
-
-        # queue accounting: every legacy counter has the same value
-        legacy_snap = legacy.queue.snapshot()
-        compat_snap = compat.queue.snapshot()
-        for key, value in legacy_snap.items():
-            assert compat_snap[key] == value, key
+        served = [o for o in legacy.outcomes if o.outcome in ("ok", "resumed")]
+        free_at = 0.0
+        for o in sorted(served, key=lambda o: o.start_s):
+            assert o.start_s >= free_at
+            free_at = o.start_s + max(o.record.executed_seconds, 0.0)
 
     def test_service_mode_seeded_rerun_is_byte_identical(self, shared):
         cfg = ReplayConfig(
