@@ -5,7 +5,7 @@ predict) four ways — sequential, ``--jobs 2``, ``--jobs 4``, and
 cold-vs-warm persistent cache — and writes the ``BENCH_parallel.json``
 summary.  The headline invariant: a warm-cache sweep must be at least
 ``min_warm_speedup`` (2x) faster than the cold-cache sweep, because the
-static analysis (MCA steady state, IPDA, loadouts) that dominates the
+static analysis (MCA steady state, loadouts) that dominates the
 sweep is replayed from disk instead of recomputed.
 
 ``python benchmarks/bench_parallel.py --tiny`` runs a reduced grid (one

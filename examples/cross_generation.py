@@ -9,6 +9,7 @@ new accelerator is a dataclass literal: the framework needs no other code.
 
 from dataclasses import replace
 
+from repro.analysis import compile_attributes
 from repro.machines import (
     AcceleratorSlot,
     NVLINK2,
@@ -51,10 +52,11 @@ def main() -> None:
         spec = benchmark_by_name(bench_name)
         env = spec.env("benchmark")
         for region in spec.build():
+            attrs = compile_attributes(region)  # static analysis, once
             cells = [region.name]
             for plat in PLATFORMS:
-                cpu = simulate_cpu(region, plat.host, env)
-                gpu = simulate_gpu_kernel(region, plat.gpu, env)
+                cpu = simulate_cpu(attrs, plat.host, env)
+                gpu = simulate_gpu_kernel(attrs, plat.gpu, env)
                 xfer = simulate_transfers(region, plat.bus, env)
                 speedup = cpu.seconds / (gpu.seconds + xfer.total_seconds)
                 mark = "GPU" if speedup > 1 else "cpu"

@@ -18,6 +18,7 @@ from .attribute_db import (
     BoundAttributes,
     ProgramAttributeDatabase,
     RegionAttributes,
+    compile_attributes,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "BoundAttributes",
     "ProgramAttributeDatabase",
     "RegionAttributes",
+    "compile_attributes",
 ]

@@ -3,32 +3,47 @@
 At "compile" time, the framework stores the static products of analysis for
 every outlined target region: the symbolic IPDA strides, the instruction
 loadout skeleton, the symbolic parallel-iteration count, and symbolic
-transfer sizes.  At execution time, the OpenMP runtime queries the entry by
+transfer sizes; the MCA lowering of the loop nest is added per CPU on
+first use.  At execution time, the OpenMP runtime queries the entry by
 region key, binds the missing runtime values, and hands completed model
-inputs to the performance models.
+inputs to the performance models.  The record is the only owner of this
+analysis: models and simulators take the record, never re-analysing the
+bare region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..ir import Region, validate_region
 from ..ir.dataflow import RegionDataflow, analyze_transfers
 from ..ir.printer import region_to_text
 from ..ipda import BoundIPDA, IPDAResult, analyze_region
+from ..machines import CPUDescriptor
+from ..mca.lowering import LoweredLevel, lower_region, lowering_key
 from ..obs.tracer import current_tracer
 from ..parallel.cache import current_cache
 from ..symbolic import Expr
 from .features import AccessWeight, InstructionLoadout, extract_loadout
 from .tripcount import PAPER_LOOP_TRIPS, nest_trips, paper_trip_abstraction
 
-__all__ = ["RegionAttributes", "BoundAttributes", "ProgramAttributeDatabase"]
+__all__ = [
+    "RegionAttributes",
+    "BoundAttributes",
+    "ProgramAttributeDatabase",
+    "compile_attributes",
+]
 
 
 @dataclass(frozen=True)
 class RegionAttributes:
-    """Compile-time record for one target region."""
+    """Compile-time record for one target region.
+
+    The only owner of the region's static analysis: models and simulators
+    read ``ipda`` and :meth:`lowering` from here instead of re-deriving
+    them from the bare region.
+    """
 
     region: Region
     ipda: IPDAResult
@@ -37,11 +52,33 @@ class RegionAttributes:
     required_symbols: frozenset[str]
     #: array liveness / transfer-direction analysis (ir.dataflow); only
     #: consulted when ``transfer_mode == "inferred"``
-    dataflow: RegionDataflow | None = None
+    dataflow: RegionDataflow
     #: "declared" prices transfers from the map clauses (the default,
     #: bit-identical to the historical behaviour); "inferred" prices them
     #: from the dataflow analysis (drops provably wasted directions)
     transfer_mode: str = "declared"
+    #: MCA lowerings built on first request, keyed by
+    #: ``(lowering_key(cpu), vectorize)``; consumers only read the trees
+    _lowerings: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def lowering(
+        self, cpu: CPUDescriptor, *, vectorize: bool = True
+    ) -> LoweredLevel:
+        """The region's MCA level tree for ``cpu``, lowered once per key.
+
+        CPUs that agree on everything lowering reads share one tree, so
+        descriptor variants (drifted clocks, renamed copies) do not lower
+        again, while a variant that lowers differently gets its own.
+        """
+        key = (lowering_key(cpu), vectorize)
+        root = self._lowerings.get(key)
+        if root is None:
+            root = self._lowerings[key] = lower_region(
+                self.region, cpu, vectorize=vectorize
+            )
+        return root
 
     def bind(self, env: Mapping[str, int]) -> "BoundAttributes":
         """Complete the record with runtime values (Figure 2, runtime side).
@@ -61,8 +98,7 @@ class RegionAttributes:
         )
         bound_ipda = self.ipda.bind(env)
         if self.transfer_mode == "inferred":
-            dataflow = self.dataflow or analyze_transfers(self.region)
-            to_dev, to_host = dataflow.transfer_bytes(env)
+            to_dev, to_host = self.dataflow.transfer_bytes(env)
         else:
             to_dev, to_host = self.region.transfer_bytes(env)
         return BoundAttributes(
@@ -168,6 +204,34 @@ def _decode_loadout(entry: dict) -> InstructionLoadout:
     )
 
 
+def compile_attributes(
+    region: Region, *, transfer_mode: str = "declared"
+) -> RegionAttributes:
+    """Run all static analyses on a region: its compile-time record.
+
+    :meth:`ProgramAttributeDatabase.compile_region` stores what this
+    returns; a caller that holds only a region (a microbenchmark, a test)
+    builds one record here and passes it to the models and simulators.
+    """
+    tracer = current_tracer()
+    with tracer.span("compile", region=region.name):
+        validate_region(region)
+        with tracer.span("analyse", region=region.name) as sp:
+            ipda = analyze_region(region)
+            static_loadout = _cached_static_loadout(region)
+            if tracer.enabled:
+                sp.set("accesses", len(ipda.accesses))
+        return RegionAttributes(
+            region=region,
+            ipda=ipda,
+            static_loadout=static_loadout,
+            parallel_iterations=region.parallel_iterations(),
+            required_symbols=region.free_symbols(),
+            dataflow=analyze_transfers(region),
+            transfer_mode=transfer_mode,
+        )
+
+
 class ProgramAttributeDatabase:
     """Keyed store of compile-time attributes, queried by the runtime.
 
@@ -189,25 +253,10 @@ class ProgramAttributeDatabase:
         """Run all static analyses on a region and store the record."""
         if region.name in self._entries:
             raise KeyError(f"region {region.name!r} already compiled")
-        tracer = current_tracer()
-        with tracer.span("compile", region=region.name):
-            validate_region(region)
-            with tracer.span("analyse", region=region.name) as sp:
-                ipda = analyze_region(region)
-                static_loadout = _cached_static_loadout(region)
-                if tracer.enabled:
-                    sp.set("accesses", len(ipda.accesses))
-            attrs = RegionAttributes(
-                region=region,
-                ipda=ipda,
-                static_loadout=static_loadout,
-                parallel_iterations=region.parallel_iterations(),
-                required_symbols=region.free_symbols(),
-                dataflow=analyze_transfers(region),
-                transfer_mode=(
-                    "inferred" if self.inferred_transfers else "declared"
-                ),
-            )
+        attrs = compile_attributes(
+            region,
+            transfer_mode="inferred" if self.inferred_transfers else "declared",
+        )
         self._entries[region.name] = attrs
         return attrs
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis import RegionAttributes, compile_attributes
 from ..machines import CPUDescriptor
 from ..sim import simulate_cpu
 from .kernels import build_empty_body
@@ -35,8 +36,13 @@ def measure_parallel_overhead(
     The kernel body is a single store, so virtually all measured time is
     fork + schedule + join — the quantities Table II carries.
     """
-    region = build_empty_body()
-    res = simulate_cpu(region, cpu, {"n": num_threads}, num_threads=num_threads)
+    return _measure(compile_attributes(build_empty_body()), cpu, num_threads)
+
+
+def _measure(
+    attrs: RegionAttributes, cpu: CPUDescriptor, num_threads: int
+) -> ParallelOverhead:
+    res = simulate_cpu(attrs, cpu, {"n": num_threads}, num_threads=num_threads)
     cycles = res.seconds * cpu.frequency_ghz * 1e9
     return ParallelOverhead(
         cpu_name=cpu.name,
@@ -51,4 +57,5 @@ def overhead_curve(
 ) -> list[ParallelOverhead]:
     """EPCC overhead as a function of team size (fork/barrier scaling)."""
     sizes = tuple(t for t in team_sizes if t <= cpu.hw_threads)
-    return [measure_parallel_overhead(cpu, t) for t in sizes]
+    attrs = compile_attributes(build_empty_body())
+    return [_measure(attrs, cpu, t) for t in sizes]

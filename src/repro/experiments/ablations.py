@@ -22,15 +22,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..analysis import ProgramAttributeDatabase
 from ..calibrate import fit_model_calibration
 from ..codegen import plan_gpu_launch
 from ..ipda import BoundAccess, BoundIPDA, CoalescingClass
 from ..machines import PLATFORM_P9_V100, Platform
 from ..models import predict_both, predict_cpu_time, predict_gpu_time
-from ..polybench import all_kernel_cases
 from ..util import geomean, render_table
-from .common import measure_suite
+from .common import _database, measure_suite
 
 __all__ = ["AblationScore", "AblationResult", "run_ablations"]
 
@@ -106,11 +104,8 @@ def run_ablations(
     """Score every ablation variant over the suite."""
     measured = measure_suite(platform, mode, num_threads=num_threads)
     calibration = fit_model_calibration(platform, num_threads=num_threads)
-    db = ProgramAttributeDatabase()
-    bounds = []
-    for case in all_kernel_cases(mode):
-        attrs = db.compile_region(case.region)
-        bounds.append(attrs.bind(case.env))
+    db, cases = _database(mode)
+    bounds = [db.lookup(case.name).bind(case.env) for case in cases]
 
     scores = []
     for variant in _VARIANTS:
@@ -157,7 +152,7 @@ def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool
     if variant.startswith("no-ipda"):
         forced = _force_coalescing(bound.ipda, "all coalesced" in variant)
         cpu_pred = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             bound.parallel_iterations,
             platform.host,
@@ -184,7 +179,7 @@ def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool
         return gpu_s < cpu_s
     if variant == "no-omp-rep":
         cpu_pred = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             bound.parallel_iterations,
             platform.host,

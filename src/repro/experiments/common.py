@@ -11,7 +11,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 
-from ..analysis import ProgramAttributeDatabase
+from ..analysis import ProgramAttributeDatabase, RegionAttributes
 from ..calibrate import ModelCalibration, fit_model_calibration
 from ..machines import PLATFORM_P8_K80, PLATFORM_P9_V100, Platform, platform_by_name
 from ..mca.scheduler import clear_steady_state_memo
@@ -64,6 +64,7 @@ class KernelMeasurement:
 _MEASURE_CACHE: dict[tuple, list[KernelMeasurement]] = {}
 _PREDICT_CACHE: dict[tuple, list[SelectionPrediction]] = {}
 _DB_CACHE: dict[str, tuple[ProgramAttributeDatabase, list[KernelCase]]] = {}
+_INFERRED_DB_CACHE: dict[str, ProgramAttributeDatabase] = {}
 _CAL_CACHE: dict[tuple, ModelCalibration] = {}
 
 
@@ -82,6 +83,7 @@ def clear_caches(*, persistent: bool = True) -> None:
     _MEASURE_CACHE.clear()
     _PREDICT_CACHE.clear()
     _DB_CACHE.clear()
+    _INFERRED_DB_CACHE.clear()
     _CAL_CACHE.clear()
     clear_steady_state_memo()
     if persistent:
@@ -99,7 +101,7 @@ def _database(mode: str) -> tuple[ProgramAttributeDatabase, list[KernelCase]]:
             db.compile_region(case.region)
         # regions must come from the compiled database so attribute
         # lookups hit; memoize the rebound cases alongside the database —
-        # per-task callers (_case_by_name) hit this on every case, so the
+        # per-task callers (_measure_task) hit this on every case, so the
         # suite IR must not be rebuilt per call
         cases = [
             KernelCase(
@@ -114,6 +116,17 @@ def _database(mode: str) -> tuple[ProgramAttributeDatabase, list[KernelCase]]:
         _DB_CACHE[mode] = (db, cases)
     db, cases = _DB_CACHE[mode]
     return db, list(cases)
+
+
+def _inferred_database(mode: str) -> ProgramAttributeDatabase:
+    """Suite database compiled with ``inferred_transfers=True``."""
+    if mode not in _INFERRED_DB_CACHE:
+        _, cases = _database(mode)
+        db = ProgramAttributeDatabase(inferred_transfers=True)
+        for case in cases:
+            db.compile_region(case.region)
+        _INFERRED_DB_CACHE[mode] = db
+    return _INFERRED_DB_CACHE[mode]
 
 
 def _prefork_warmup() -> None:
@@ -142,8 +155,9 @@ def _calibration(plat: Platform, num_threads: int | None) -> ModelCalibration:
 
 # -- result-level caching ---------------------------------------------------
 #
-# The three analysis kinds (loadout/IPDA/MCA) cover the *static* pieces
-# of a sweep, but a fully warm sweep still pays simulation and model
+# The two analysis kinds (loadout and MCA steady state) cover the *static*
+# pieces of a sweep (IPDA and the lowering live on the compile-time
+# records), but a fully warm sweep still pays simulation and model
 # evaluation per case.  Both are deterministic pure functions of
 # (canonical region IR, env, platform, knobs), so the sweep results
 # themselves are cacheable under the same content-addressing rules:
@@ -209,41 +223,38 @@ def _decode_tree(obj, types: dict):
 
 
 def _simulate_case(
-    case: KernelCase, plat: Platform, num_threads: int | None
+    attrs: RegionAttributes, env, plat: Platform, num_threads: int | None
 ) -> list[float]:
-    cpu = simulate_cpu(
-        case.region, plat.host, case.env, num_threads=num_threads
-    )
-    gpu = simulate_gpu_kernel(case.region, plat.gpu, case.env)
-    xfer = simulate_transfers(case.region, plat.bus, case.env)
+    cpu = simulate_cpu(attrs, plat.host, env, num_threads=num_threads)
+    gpu = simulate_gpu_kernel(attrs, plat.gpu, env)
+    xfer = simulate_transfers(attrs.region, plat.bus, env)
     return [cpu.seconds, gpu.seconds, xfer.total_seconds]
 
 
 def _measure_case(
-    case: KernelCase, plat: Platform, num_threads: int | None
-) -> KernelMeasurement:
+    db: ProgramAttributeDatabase,
+    name: str,
+    env,
+    plat: Platform,
+    num_threads: int | None,
+) -> list[float]:
+    """One case's simulated CPU, GPU-kernel and transfer seconds."""
+    attrs = db.lookup(name)
     cache = current_cache()
     if not cache.enabled:
-        numbers = _simulate_case(case, plat, num_threads)
-    else:
-        from ..ir import region_to_text
+        return _simulate_case(attrs, env, plat, num_threads)
+    from ..ir import region_to_text
 
-        numbers = cache.get_or_compute(
-            "sim.measure",
-            {
-                "region": region_to_text(case.region),
-                "env": dict(case.env),
-                "threads": num_threads,
-            },
-            plat,
-            lambda: _simulate_case(case, plat, num_threads),
-            validate=lambda v: isinstance(v, list) and len(v) == 3,
-        )
-    return KernelMeasurement(
-        case=case,
-        cpu_seconds=numbers[0],
-        gpu_kernel_seconds=numbers[1],
-        gpu_transfer_seconds=numbers[2],
+    return cache.get_or_compute(
+        "sim.measure",
+        {
+            "region": region_to_text(attrs.region),
+            "env": dict(env),
+            "threads": num_threads,
+        },
+        plat,
+        lambda: _simulate_case(attrs, env, plat, num_threads),
+        validate=lambda v: isinstance(v, list) and len(v) == 3,
     )
 
 
@@ -292,36 +303,20 @@ def _predict_case(
     return _decode_tree(value, _codec_types())
 
 
-def _case_by_name(mode: str, name: str) -> KernelCase:
-    """The (process-local) database's case for a shipped case name."""
-    _, cases = _database(mode)
-    for case in cases:
-        if case.name == name:
-            return case
-    raise KeyError(f"unknown suite case {name!r} in mode {mode!r}")
-
-
 def _measure_task(task: tuple) -> tuple[float, float, float]:
     """Worker task: simulate one suite case, returning only the numbers.
 
     Chunks ship only case *names* and env bindings; the worker holds the
     compiled attribute database (built once per process, then warm for
-    every later chunk of any sweep) and regions compare by identity, so
-    the parent reattaches its own :class:`KernelCase` objects while the
-    worker ships back three floats.
+    every later chunk of any sweep), so the parent reattaches its own
+    :class:`KernelCase` objects while the worker ships back three floats.
     """
     plat_name, mode, name, env, num_threads = task
-    plat = _resolve_platform(plat_name)
-    case = _case_by_name(mode, name)
-    case = KernelCase(
-        benchmark=case.benchmark,
-        mode=case.mode,
-        region=case.region,
-        env=env,
-        scalars=case.scalars,
+    db, _ = _database(mode)
+    cpu_s, gpu_s, xfer_s = _measure_case(
+        db, name, env, _resolve_platform(plat_name), num_threads
     )
-    m = _measure_case(case, plat, num_threads)
-    return (m.cpu_seconds, m.gpu_kernel_seconds, m.gpu_transfer_seconds)
+    return (cpu_s, gpu_s, xfer_s)
 
 
 def _predict_task(task: tuple) -> SelectionPrediction:
@@ -358,7 +353,7 @@ def measure_suite(
     key = (plat.name, mode, num_threads)
     if key in _MEASURE_CACHE:
         return _MEASURE_CACHE[key]
-    _, cases = _database(mode)
+    db, cases = _database(mode)
     engine = SweepEngine(jobs, chunk=chunk)
     if engine.parallel:
         numbers = engine.map(
@@ -369,17 +364,20 @@ def measure_suite(
             ],
             labels=[case.name for case in cases],
         )
-        out = [
-            KernelMeasurement(
-                case=case,
-                cpu_seconds=n[0],
-                gpu_kernel_seconds=n[1],
-                gpu_transfer_seconds=n[2],
-            )
-            for case, n in zip(cases, numbers)
-        ]
     else:
-        out = [_measure_case(case, plat, num_threads) for case in cases]
+        numbers = [
+            _measure_case(db, case.name, case.env, plat, num_threads)
+            for case in cases
+        ]
+    out = [
+        KernelMeasurement(
+            case=case,
+            cpu_seconds=n[0],
+            gpu_kernel_seconds=n[1],
+            gpu_transfer_seconds=n[2],
+        )
+        for case, n in zip(cases, numbers)
+    ]
     _MEASURE_CACHE[key] = out
     return out
 

@@ -22,9 +22,9 @@ from ..machines import (
     TESLA_P100,
     TESLA_V100,
 )
-from ..polybench import all_kernel_cases
 from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
 from ..util import geomean, render_table
+from .common import _database
 
 __all__ = ["CrossGenResult", "run_crossgen", "GENERATIONS"]
 
@@ -90,11 +90,13 @@ class CrossGenResult:
 def run_crossgen(mode: str = "benchmark") -> CrossGenResult:
     """Sweep the three accelerator generations over the suite."""
     rows = []
-    for case in all_kernel_cases(mode):
+    db, cases = _database(mode)
+    for case in cases:
+        attrs = db.lookup(case.name)
         speedups = []
         for plat in GENERATIONS:
-            cpu = simulate_cpu(case.region, plat.host, case.env)
-            gpu = simulate_gpu_kernel(case.region, plat.gpu, case.env)
+            cpu = simulate_cpu(attrs, plat.host, case.env)
+            gpu = simulate_gpu_kernel(attrs, plat.gpu, case.env)
             xfer = simulate_transfers(case.region, plat.bus, case.env)
             speedups.append(cpu.seconds / (gpu.seconds + xfer.total_seconds))
         rows.append((case.name, tuple(speedups)))

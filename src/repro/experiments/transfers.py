@@ -31,13 +31,17 @@ from typing import Callable, Mapping
 
 from ..analysis import BoundAttributes, ProgramAttributeDatabase
 from ..ir import Region
-from ..ir.dataflow import analyze_transfers
 from ..lint import lint_region
 from ..machines import Platform
 from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
 from ..sim.interconnect_sim import STAGING_EFFICIENCY
 from ..util import render_table
-from .common import _calibration, _database, _resolve_platform
+from .common import (
+    _calibration,
+    _database,
+    _inferred_database,
+    _resolve_platform,
+)
 
 __all__ = [
     "ScenarioOutcome",
@@ -340,7 +344,7 @@ def _inferred_transfer_sim_seconds(
     staging efficiency, full-duplex overlap) but issues only the
     directions the dataflow analysis kept.
     """
-    dataflow = bound.attributes.dataflow or analyze_transfers(region)
+    dataflow = bound.attributes.dataflow
     bus = platform.bus
     rate = bus.bandwidth_gbs * 1e9 * STAGING_EFFICIENCY
     to_dev_s = 0.0
@@ -378,11 +382,12 @@ def _run_scenario(
 ) -> ScenarioOutcome:
     declared_db = ProgramAttributeDatabase()
     inferred_db = ProgramAttributeDatabase(inferred_transfers=True)
-    declared = declared_db.compile_region(region).bind(env)
+    attrs = declared_db.compile_region(region)
+    declared = attrs.bind(env)
     inferred = inferred_db.compile_region(region).bind(env)
     report = lint_region(region, env=env, platform=platform)
-    cpu = simulate_cpu(region, platform.host, env, num_threads=num_threads)
-    gpu = simulate_gpu_kernel(region, platform.gpu, env)
+    cpu = simulate_cpu(attrs, platform.host, env, num_threads=num_threads)
+    gpu = simulate_gpu_kernel(attrs, platform.gpu, env)
     declared_xfer = simulate_transfers(region, platform.bus, env)
     inferred_xfer_s = _inferred_transfer_sim_seconds(
         region, inferred, platform, env
@@ -404,20 +409,6 @@ def _run_scenario(
         decision_declared=_decide(declared, platform, num_threads),
         decision_inferred=_decide(inferred, platform, num_threads),
     )
-
-
-_INFERRED_DB_CACHE: dict[str, ProgramAttributeDatabase] = {}
-
-
-def _inferred_database(mode: str) -> ProgramAttributeDatabase:
-    """Suite database compiled with ``inferred_transfers=True``."""
-    if mode not in _INFERRED_DB_CACHE:
-        _, cases = _database(mode)
-        db = ProgramAttributeDatabase(inferred_transfers=True)
-        for case in cases:
-            db.compile_region(case.region)
-        _INFERRED_DB_CACHE[mode] = db
-    return _INFERRED_DB_CACHE[mode]
 
 
 def run_transfers(

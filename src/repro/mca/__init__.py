@@ -14,6 +14,7 @@ from .lowering import (
     find_band_level,
     level_cycles_per_iteration,
     lower_region,
+    lowering_key,
     machine_cycles_per_iter,
 )
 from .report import MCAReport, analyze_region
@@ -33,6 +34,7 @@ __all__ = [
     "find_band_level",
     "level_cycles_per_iteration",
     "lower_region",
+    "lowering_key",
     "machine_cycles_per_iter",
     "MCAReport",
     "analyze_region",

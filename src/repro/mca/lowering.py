@@ -27,7 +27,7 @@ over it into the Liao model's ``Machine_cycles_per_iter``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..ir import (
     Bin,
@@ -53,10 +53,14 @@ from ..symbolic import Const, NonAffineError, decompose_affine
 from .ops import MachineOp, vector_opcode
 from .scheduler import steady_state_cycles
 
+if TYPE_CHECKING:
+    from ..analysis import RegionAttributes
+
 __all__ = [
     "LoweredLevel",
     "LoopInfo",
     "lower_region",
+    "lowering_key",
     "level_cycles_per_iteration",
     "machine_cycles_per_iter",
     "find_band_level",
@@ -583,6 +587,26 @@ def lower_region(
     return lw.lower_level(None, region.body, {})
 
 
+#: Element widths :func:`_body_elem_bytes` can report: it floors at 4
+#: bytes, and the IR's widest scalar type is 8 bytes wide.
+_LANE_ELEM_BYTES = (4, 8)
+
+
+def lowering_key(cpu: CPUDescriptor) -> tuple:
+    """Everything :func:`lower_region` reads of a CPU, as a hashable key.
+
+    Two descriptors with equal keys lower every region to equal trees.
+    The key holds values, never the descriptor's name or identity:
+    same-name variants exist (``dataclasses.replace``), and a variant
+    that lowers differently must not share a tree.
+    """
+    return (
+        cpu.has_fma,
+        cpu.outer_loop_vectorization,
+        tuple(cpu.vector_lanes(b) for b in _LANE_ELEM_BYTES),
+    )
+
+
 def find_band_level(root: LoweredLevel) -> LoweredLevel:
     """The level of the *innermost parallel band* loop.
 
@@ -635,7 +659,7 @@ def level_cycles_per_iteration(
 
 
 def machine_cycles_per_iter(
-    region: Region,
+    attrs: "RegionAttributes",
     cpu: CPUDescriptor,
     trip_of: Callable[[Loop], float],
     *,
@@ -645,10 +669,11 @@ def machine_cycles_per_iter(
     """Liao's ``Machine_cycles_per_iter``: cycles per parallel-loop iteration.
 
     This is the MCA integration of Section IV.A.1 — the parallel loop body
-    is extracted, lowered and run through the scoreboard.  ``trip_of``
-    supplies inner-loop trip counts: the analytical model passes the
-    128-iteration abstraction, the simulator passes actual counts.
+    is extracted, lowered and run through the scoreboard.  The lowering
+    comes from the region's compile-time record (``attrs``), built once
+    per CPU lowering key.  ``trip_of`` supplies inner-loop trip counts:
+    the analytical model passes the 128-iteration abstraction, the
+    simulator passes actual counts.
     """
-    root = lower_region(region, cpu, vectorize=vectorize)
-    band = find_band_level(root)
+    band = find_band_level(attrs.lowering(cpu, vectorize=vectorize))
     return level_cycles_per_iteration(band, cpu, trip_of, latency_of=latency_of)

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import math
 from typing import Callable, Mapping
 
-from ..analysis import InstructionLoadout, nest_trips
+from ..analysis import InstructionLoadout, RegionAttributes, nest_trips
 from ..analysis.tripcount import PAPER_LOOP_TRIPS
 from ..codegen import CPUPlan, OMPSchedule, plan_cpu_execution
-from ..ipda import analyze_region
-from ..ir import Region, count_reductions
+from ..ipda import IPDAResult
+from ..ir import count_reductions
 from ..machines import CPUDescriptor
 from ..mca import MachineOp, machine_cycles_per_iter
 from ..symbolic import EvalError
@@ -80,7 +80,7 @@ class CPUPrediction:
 
 
 def predict_cpu_time(
-    region: Region,
+    attrs: RegionAttributes,
     loadout: InstructionLoadout,
     parallel_iterations: int,
     cpu: CPUDescriptor,
@@ -91,7 +91,7 @@ def predict_cpu_time(
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
 ) -> CPUPrediction:
-    """Evaluate the Liao model for one region launch.
+    """Evaluate the Liao model for one launch of a compiled region.
 
     ``env`` carries whatever runtime values the attribute database supplied;
     inner-loop trip counts missing from it keep the paper's 128-iteration
@@ -107,13 +107,14 @@ def predict_cpu_time(
         schedule=schedule,
         chunk_size=chunk_size,
     )
+    region = attrs.region
     trip_of = nest_trips(region, env or {}, default=PAPER_LOOP_TRIPS)
     classes = _classify_accesses(
-        region, env or {}, cpu, plan.threads_per_core, trip_of
+        attrs.ipda, env or {}, cpu, plan.threads_per_core, trip_of
     )
     latency_of = _ipda_load_latency(classes, cpu)
     mc_per_iter = machine_cycles_per_iter(
-        region, cpu, trip_of, vectorize=vectorize, latency_of=latency_of
+        attrs, cpu, trip_of, vectorize=vectorize, latency_of=latency_of
     )
     # SMT sharing: with T threads per core, each thread sees a slice of the
     # core's issue capacity.  The critical-path thread therefore pays
@@ -185,7 +186,7 @@ class _AccessClass:
 
 
 def _classify_accesses(
-    region: Region,
+    ipda: IPDAResult,
     env: Mapping[str, float],
     cpu: CPUDescriptor,
     threads_per_core: int,
@@ -200,7 +201,6 @@ def _classify_accesses(
     the detailed hierarchy remains the simulator's (and real hardware's)
     edge, the gap Section IV.A.1 calls the model's primary limitation.
     """
-    ipda = analyze_region(region)
     line = float(cpu.cacheline_bytes)
     aggregate_l3 = cpu.l3_kib_per_core * 1024.0 * cpu.cores
     out: list[_AccessClass] = []

@@ -97,7 +97,7 @@ def predict_both(
     )
     env = dict(bound.env) if use_runtime_tripcounts else {}
     cpu_pred = predict_cpu_time(
-        bound.region,
+        bound.attributes,
         loadout,
         bound.parallel_iterations,
         platform.host,

@@ -11,8 +11,9 @@ Two cooperating subsystems that make suite sweeps scale:
   ``$REPRO_CHUNK``);
 * :class:`AnalysisCache` — a persistent, content-addressed store (JSON
   records keyed by SHA-256 over canonical region IR + machine-model
-  fingerprint + package version) that memoizes compile/IPDA/MCA
-  analysis across processes and across runs (``$REPRO_CACHE_DIR``).
+  fingerprint + package version) that memoizes MCA scheduler and
+  loadout analysis, plus whole per-case measurements and predictions,
+  across processes and across runs (``$REPRO_CACHE_DIR``).
 
 Both are off by default: without an activated cache and with
 ``jobs <= 1`` every code path is bit-identical to the pre-engine build.

@@ -2,10 +2,11 @@
 
 The paper's central economy (Figure 2) is that *static* analysis is done
 once and amortized over every later launch; within one process the
-experiment harness already memoizes, but every new process — each worker
-of the parallel sweep engine, each CLI invocation, each CI job — used to
-recompute compile/IPDA/MCA analysis from scratch.  The
-:class:`AnalysisCache` closes that gap: JSON records under a cache
+experiment harness already memoizes (and each region's compile-time
+record holds its IPDA result and MCA lowerings), but every new process —
+each worker of the parallel sweep engine, each CLI invocation, each CI
+job — used to recompute the scheduler, loadout, simulation and model
+results from scratch.  The :class:`AnalysisCache` closes that gap: JSON records under a cache
 directory, addressed by SHA-256 over the *canonical content* of the
 computation — canonical region IR text (or machine-op listings), a
 machine-model fingerprint, and the package version — so any perturbation

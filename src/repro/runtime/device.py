@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..ir import Region
+from ..analysis import RegionAttributes
 from ..machines import CPUDescriptor, GPUDescriptor, InterconnectDescriptor
 from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
 
@@ -34,7 +34,8 @@ class Device:
     name: str
     kind: str
 
-    def execute(self, region: Region, env: Mapping[str, int]) -> ExecutionRecord:
+    def execute(self, attrs: RegionAttributes, env: Mapping[str, int]) -> ExecutionRecord:
+        """Run a compiled region with runtime values ``env``."""
         raise NotImplementedError
 
 
@@ -48,8 +49,8 @@ class HostDevice(Device):
         self.num_threads = num_threads
         self.name = cpu.name if num_threads is None else f"{cpu.name}x{num_threads}"
 
-    def execute(self, region: Region, env: Mapping[str, int]) -> ExecutionRecord:
-        res = simulate_cpu(region, self.cpu, env, num_threads=self.num_threads)
+    def execute(self, attrs: RegionAttributes, env: Mapping[str, int]) -> ExecutionRecord:
+        res = simulate_cpu(attrs, self.cpu, env, num_threads=self.num_threads)
         return ExecutionRecord(self.name, self.kind, res.seconds, res)
 
     def __repr__(self) -> str:
@@ -73,11 +74,11 @@ class AcceleratorDevice(Device):
         self.threads_per_block = threads_per_block
         self.name = f"{gpu.name} via {bus.name}"
 
-    def execute(self, region: Region, env: Mapping[str, int]) -> ExecutionRecord:
+    def execute(self, attrs: RegionAttributes, env: Mapping[str, int]) -> ExecutionRecord:
         kernel = simulate_gpu_kernel(
-            region, self.gpu, env, threads_per_block=self.threads_per_block
+            attrs, self.gpu, env, threads_per_block=self.threads_per_block
         )
-        xfer = simulate_transfers(region, self.bus, env)
+        xfer = simulate_transfers(attrs.region, self.bus, env)
         total = kernel.seconds + xfer.total_seconds
         return ExecutionRecord(self.name, self.kind, total, (kernel, xfer))
 

@@ -400,7 +400,7 @@ class DispatchCore:
             record = ctx.executions[index] = (
                 memo.execution(device, ctx.attrs, ctx.env)
                 if memo is not None
-                else device.execute(ctx.attrs.region, ctx.env)
+                else device.execute(ctx.attrs, ctx.env)
             )
         return record
 

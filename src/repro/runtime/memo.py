@@ -58,12 +58,12 @@ class ExecutionMemo:
     def execution(
         self, device: Device, attrs: RegionAttributes, env: Mapping[str, int]
     ) -> ExecutionRecord:
-        """``device.execute(region, env)``, computed once per device/case."""
+        """``device.execute(attrs, env)``, computed once per device/case."""
         key = (device.name, attrs.region.name, _env_key(env))
         hit = self._executions.get(key)
         if hit is None:
             self.misses += 1
-            hit = self._executions[key] = device.execute(attrs.region, env)
+            hit = self._executions[key] = device.execute(attrs, env)
         else:
             self.hits += 1
         return hit

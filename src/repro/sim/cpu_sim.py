@@ -21,19 +21,14 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..analysis import RegionAttributes, nest_trips
 from ..codegen import CPUPlan, OMPSchedule, plan_cpu_execution
-from ..ipda import analyze_region
+from ..ipda import IPDAResult
 from ..ir import Region
-from ..ir.visit import count_reductions, memory_accesses
+from ..ir.visit import count_reductions
 from ..machines import CPUDescriptor
 from ..obs.tracer import current_tracer
-from ..mca import (
-    MachineOp,
-    find_band_level,
-    level_cycles_per_iteration,
-    lower_region,
-)
-from ..analysis import nest_trips
+from ..mca import MachineOp, find_band_level, level_cycles_per_iteration
 from .locality import (
     AccessLocality,
     AccessSpec,
@@ -93,13 +88,12 @@ def cpu_memory_hierarchy(
 
 def _access_specs(
     region: Region,
+    ipda: IPDAResult,
     env: Mapping[str, int],
     plan: CPUPlan,
     trip_of,
 ) -> tuple[list[AccessSpec], list[list[int]]]:
     """Build per-thread access specs + stencil groups for the region."""
-    accesses = memory_accesses(region)
-    ipda = analyze_region(region)
     band_vars = [lp.var.name for lp in region.parallel_band()]
 
     # Per-thread trips of each band loop: inner band dims run fully; the
@@ -116,7 +110,8 @@ def _access_specs(
 
     specs: list[AccessSpec] = []
     keys: list[tuple] = []
-    for acc, stride_info in zip(accesses, ipda.accesses):
+    for stride_info in ipda.accesses:
+        acc = stride_info.access
         loops: list[LoopExtent] = []
         for lp in reversed(acc.loop_path):  # innermost first
             coeff = stride_info.loop_strides.get(lp.var.name)
@@ -154,7 +149,7 @@ def _access_specs(
 
 
 def simulate_cpu(
-    region: Region,
+    attrs: RegionAttributes,
     cpu: CPUDescriptor,
     env: Mapping[str, int],
     *,
@@ -163,16 +158,16 @@ def simulate_cpu(
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
 ) -> CPUSimResult:
-    """Simulate host-parallel execution of a region with actual sizes."""
+    """Simulate host-parallel execution of a compiled region, actual sizes."""
     tracer = current_tracer()
     if not tracer.enabled:
         return _simulate_cpu(
-            region, cpu, env, num_threads=num_threads, vectorize=vectorize,
+            attrs, cpu, env, num_threads=num_threads, vectorize=vectorize,
             schedule=schedule, chunk_size=chunk_size,
         )
-    with tracer.span("sim.cpu", region=region.name, cpu=cpu.name) as sp:
+    with tracer.span("sim.cpu", region=attrs.region.name, cpu=cpu.name) as sp:
         result = _simulate_cpu(
-            region, cpu, env, num_threads=num_threads, vectorize=vectorize,
+            attrs, cpu, env, num_threads=num_threads, vectorize=vectorize,
             schedule=schedule, chunk_size=chunk_size,
         )
         sp.set("seconds", result.seconds)
@@ -180,7 +175,7 @@ def simulate_cpu(
 
 
 def _simulate_cpu(
-    region: Region,
+    attrs: RegionAttributes,
     cpu: CPUDescriptor,
     env: Mapping[str, int],
     *,
@@ -189,6 +184,7 @@ def _simulate_cpu(
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
 ) -> CPUSimResult:
+    region, ipda = attrs.region, attrs.ipda
     parallel_iters = int(region.parallel_iterations().evaluate(env))
     plan = plan_cpu_execution(
         parallel_iters,
@@ -200,7 +196,7 @@ def _simulate_cpu(
     mem = cpu_memory_hierarchy(cpu, plan.threads_per_core)
     trips = nest_trips(region, env)
 
-    specs, groups = _access_specs(region, env, plan, trips)
+    specs, groups = _access_specs(region, ipda, env, plan, trips)
     localities: dict[int, AccessLocality] = {}
     for group in groups:
         leader = group[0]
@@ -221,7 +217,7 @@ def _simulate_cpu(
             return localities[idx].avg_latency_cycles
         return float(cpu.latency(op.opcode))
 
-    root = lower_region(region, cpu, vectorize=vectorize)
+    root = attrs.lowering(cpu, vectorize=vectorize)
     band = find_band_level(root)
     per_iter = level_cycles_per_iteration(
         band, cpu, trips, latency_of=latency_of
@@ -234,7 +230,6 @@ def _simulate_cpu(
     compute_seconds = cpu.cycles_to_seconds(compute_cycles)
 
     busy_threads = min(plan.num_threads, parallel_iters)
-    ipda = analyze_region(region)
     outer_band_var = region.parallel_band()[0].var.name
     total_dram = 0.0
     l2_traffic = 0.0  # per-thread bytes refilled from L2

@@ -26,11 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..analysis import extract_loadout, nest_trips
+from ..analysis import RegionAttributes, extract_loadout, nest_trips
 from ..codegen import DEFAULT_THREADS_PER_BLOCK, GPULaunchPlan, plan_gpu_launch
-from ..ipda import analyze_region
-from ..ir import Region
-from ..ir.visit import count_reductions, memory_accesses
+from ..ir.visit import count_reductions
 from ..machines import GPUDescriptor
 from ..obs.tracer import current_tracer
 from .locality import (
@@ -104,43 +102,43 @@ def _gpu_hierarchy(
 
 
 def simulate_gpu_kernel(
-    region: Region,
+    attrs: RegionAttributes,
     gpu: GPUDescriptor,
     env: Mapping[str, int],
     *,
     threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
 ) -> GPUSimResult:
-    """Simulate one kernel launch with actual sizes and real coalescing."""
+    """Simulate one launch of a compiled region: actual sizes, real coalescing."""
     tracer = current_tracer()
     if not tracer.enabled:
         return _simulate_gpu_kernel(
-            region, gpu, env, threads_per_block=threads_per_block
+            attrs, gpu, env, threads_per_block=threads_per_block
         )
-    with tracer.span("sim.gpu", region=region.name, gpu=gpu.name) as sp:
+    with tracer.span("sim.gpu", region=attrs.region.name, gpu=gpu.name) as sp:
         result = _simulate_gpu_kernel(
-            region, gpu, env, threads_per_block=threads_per_block
+            attrs, gpu, env, threads_per_block=threads_per_block
         )
         sp.set("seconds", result.seconds)
         return result
 
 
 def _simulate_gpu_kernel(
-    region: Region,
+    attrs: RegionAttributes,
     gpu: GPUDescriptor,
     env: Mapping[str, int],
     *,
     threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
 ) -> GPUSimResult:
+    region = attrs.region
     parallel_iters = int(region.parallel_iterations().evaluate(env))
     plan = plan_gpu_launch(
         parallel_iters, gpu, threads_per_block=threads_per_block
     )
     trip_of = nest_trips(region, env)
     loadout = extract_loadout(region, trip_of)
-    ipda = analyze_region(region).bind(
+    ipda = attrs.ipda.bind(
         env, sector_bytes=gpu.sector_bytes, warp_size=gpu.warp_size
     )
-    accesses = memory_accesses(region)
     n_warps = plan.active_warps_per_sm
     total_threads = plan.total_threads
 
@@ -148,7 +146,8 @@ def _simulate_gpu_kernel(
     specs: list[AccessSpec] = []
     keys: list[tuple] = []
     hierarchies: list[MemoryHierarchy] = []
-    for acc, bound, weight in zip(accesses, ipda.accesses, loadout.access_weights):
+    for bound, weight in zip(ipda.accesses, loadout.access_weights):
+        acc = bound.stride.access
         loops: list[LoopExtent] = []
         for lp in reversed(acc.loop_path):
             if lp.parallel:

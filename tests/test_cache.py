@@ -21,7 +21,13 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.common import clear_caches, measure_suite, predict_suite
+from repro.experiments.common import (
+    _database,
+    clear_caches,
+    measure_suite,
+    predict_suite,
+)
+from repro.experiments.transfers import _inferred_database
 from repro.ir import parse_region, region_to_text
 from repro.machines import POWER9
 from repro.mca import steady_state_cycles
@@ -110,6 +116,17 @@ class TestTransparency:
             clear_caches(persistent=False)
             assert cache.entry_count() == entries
 
+    def test_clear_caches_drops_the_inferred_database(self):
+        """A cleared harness rebuilds the inferred-transfer suite database
+        from the fresh suite build, instead of keeping the old records."""
+        first = _inferred_database("test")
+        clear_caches()
+        second = _inferred_database("test")
+        assert second is not first
+        declared, _ = _database("test")
+        for name in second.region_names():
+            assert second.lookup(name).region is declared.lookup(name).region
+
     def test_metrics_mirroring(self, tmp_path):
         registry = MetricsRegistry()
         cache = AnalysisCache(str(tmp_path), metrics=registry)
@@ -160,7 +177,7 @@ class TestKeyInjectivity:
         assert region_cache_key(mutated) != region_cache_key(base)
 
     def test_kind_is_part_of_the_key(self):
-        assert compute_key("ipda.analyze", "x") != compute_key(
+        assert compute_key("analysis.static_loadout", "x") != compute_key(
             "mca.steady_state", "x"
         )
 

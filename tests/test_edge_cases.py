@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import compile_attributes
 from repro.ir import (
     Region,
     cmp,
@@ -49,9 +50,9 @@ class TestIfElse:
         assert arrays["A"][1] == 0.0
 
     def test_simulators_accept_if_else(self):
-        region = build_if_else()
-        assert simulate_cpu(region, POWER9, {"n": 10_000}).seconds > 0
-        assert simulate_gpu_kernel(region, TESLA_V100, {"n": 10_000}).seconds > 0
+        attrs = compile_attributes(build_if_else())
+        assert simulate_cpu(attrs, POWER9, {"n": 10_000}).seconds > 0
+        assert simulate_gpu_kernel(attrs, TESLA_V100, {"n": 10_000}).seconds > 0
 
 
 class TestDegenerateShapes:
@@ -64,9 +65,9 @@ class TestDegenerateShapes:
             with r.loop("j", n) as j:
                 r.assign(acc, acc + A[j])
             r.store(A[i], acc)
-        validate_region(r)
-        cpu = simulate_cpu(r, POWER9, {"n": 1000})
-        gpu = simulate_gpu_kernel(r, TESLA_V100, {"n": 1000})
+        attrs = compile_attributes(r)
+        cpu = simulate_cpu(attrs, POWER9, {"n": 1000})
+        gpu = simulate_gpu_kernel(attrs, TESLA_V100, {"n": 1000})
         assert cpu.seconds > 0 and gpu.seconds > 0
         # one work item: one warp, one SM
         assert gpu.plan.total_threads >= 1
@@ -86,7 +87,7 @@ class TestDegenerateShapes:
         before = arrays["A"].copy()
         execute_region(r, arrays, {}, {"n": 4})
         np.testing.assert_array_equal(arrays["A"], before)
-        assert simulate_cpu(r, POWER9, {"n": 64}).seconds > 0
+        assert simulate_cpu(compile_attributes(r), POWER9, {"n": 64}).seconds > 0
 
     def test_scalar_only_body(self):
         r = Region("scalar_body")

@@ -9,7 +9,7 @@ records.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import ProgramAttributeDatabase
+from repro.analysis import ProgramAttributeDatabase, compile_attributes
 from repro.machines import PLATFORM_P8_K80, PLATFORM_P9_V100
 from repro.models import predict_both
 from repro.polybench import benchmark_by_name
@@ -32,8 +32,9 @@ class TestDeterminism:
 
     def test_simulators_are_pure(self):
         env = {"n": 3000}
-        a = simulate_cpu(build_vecadd(), PLATFORM_P9_V100.host, env)
-        b = simulate_cpu(build_vecadd(), PLATFORM_P9_V100.host, env)
+        host = PLATFORM_P9_V100.host
+        a = simulate_cpu(compile_attributes(build_vecadd()), host, env)
+        b = simulate_cpu(compile_attributes(build_vecadd()), host, env)
         assert a.seconds == b.seconds
 
     def test_region_rebuild_gives_same_numbers(self):
@@ -41,8 +42,12 @@ class TestDeterminism:
         env = {"ni": 512, "nj": 512, "nk": 512}
         (g1,) = benchmark_by_name("gemm").build()
         (g2,) = benchmark_by_name("gemm").build()
-        t1 = simulate_gpu_kernel(g1, PLATFORM_P9_V100.gpu, env).seconds
-        t2 = simulate_gpu_kernel(g2, PLATFORM_P9_V100.gpu, env).seconds
+        t1 = simulate_gpu_kernel(
+            compile_attributes(g1), PLATFORM_P9_V100.gpu, env
+        ).seconds
+        t2 = simulate_gpu_kernel(
+            compile_attributes(g2), PLATFORM_P9_V100.gpu, env
+        ).seconds
         assert t1 == t2
 
 
@@ -121,8 +126,9 @@ class TestCrossGenerationConsistency:
         """Kernel-only time on the newer device is never worse (same code)."""
         env = {"ni": 1024, "nj": 1024, "nk": 1024}
         (gemm,) = benchmark_by_name("gemm").build()
-        k80 = simulate_gpu_kernel(gemm, PLATFORM_P8_K80.gpu, env)
-        v100 = simulate_gpu_kernel(gemm, PLATFORM_P9_V100.gpu, env)
+        attrs = compile_attributes(gemm)
+        k80 = simulate_gpu_kernel(attrs, PLATFORM_P8_K80.gpu, env)
+        v100 = simulate_gpu_kernel(attrs, PLATFORM_P9_V100.gpu, env)
         assert v100.seconds < k80.seconds
 
     def test_both_platforms_full_suite_finite(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import compile_attributes
 from repro.ir import Region, cmp, select, sqrt
 from repro.machines import POWER8, POWER9
 from repro.mca import (
@@ -14,6 +15,11 @@ from repro.mca import (
 from .kernels import build_colwise, build_gemm, build_rowwise, build_vecadd
 
 FIXED_TRIPS = lambda n: (lambda loop: float(n))  # noqa: E731
+
+
+def _attrs(build):
+    """The compile-time record of a freshly built kernel."""
+    return compile_attributes(build())
 
 
 class TestLowering:
@@ -117,39 +123,41 @@ class TestLowering:
 class TestCyclesPerIteration:
     def test_more_work_costs_more(self):
         trips = FIXED_TRIPS(128)
-        small = machine_cycles_per_iter(build_vecadd(), POWER9, trips)
-        big = machine_cycles_per_iter(build_gemm(), POWER9, trips)
+        small = machine_cycles_per_iter(_attrs(build_vecadd), POWER9, trips)
+        big = machine_cycles_per_iter(_attrs(build_gemm), POWER9, trips)
         assert big > small * 10
 
     def test_trip_count_scales_inner_loops(self):
         # GEMM has two nested inner loops (j, k): doubling trips quadruples
         # the per-parallel-iteration cost
-        c128 = machine_cycles_per_iter(build_gemm(), POWER9, FIXED_TRIPS(128))
-        c256 = machine_cycles_per_iter(build_gemm(), POWER9, FIXED_TRIPS(256))
+        c128 = machine_cycles_per_iter(_attrs(build_gemm), POWER9, FIXED_TRIPS(128))
+        c256 = machine_cycles_per_iter(_attrs(build_gemm), POWER9, FIXED_TRIPS(256))
         assert c256 == pytest.approx(4 * c128, rel=0.1)
 
     def test_trip_count_scales_linearly_single_loop(self):
-        c128 = machine_cycles_per_iter(build_rowwise(), POWER9, FIXED_TRIPS(128))
-        c256 = machine_cycles_per_iter(build_rowwise(), POWER9, FIXED_TRIPS(256))
+        c128 = machine_cycles_per_iter(_attrs(build_rowwise), POWER9, FIXED_TRIPS(128))
+        c256 = machine_cycles_per_iter(_attrs(build_rowwise), POWER9, FIXED_TRIPS(256))
         assert c256 == pytest.approx(2 * c128, rel=0.15)
 
     def test_vectorization_speeds_up_rowwise(self):
         trips = FIXED_TRIPS(1024)
-        vec = machine_cycles_per_iter(build_rowwise(), POWER9, trips, vectorize=True)
+        vec = machine_cycles_per_iter(_attrs(build_rowwise), POWER9, trips, vectorize=True)
         scalar = machine_cycles_per_iter(
-            build_rowwise(), POWER9, trips, vectorize=False
+            _attrs(build_rowwise), POWER9, trips, vectorize=False
         )
         assert vec < scalar / 2
 
     def test_power9_beats_power8_on_vector_kernels(self):
         trips = FIXED_TRIPS(1024)
-        p8 = machine_cycles_per_iter(build_colwise(), POWER8, trips)
-        p9 = machine_cycles_per_iter(build_colwise(), POWER9, trips)
+        p8 = machine_cycles_per_iter(_attrs(build_colwise), POWER8, trips)
+        p9 = machine_cycles_per_iter(_attrs(build_colwise), POWER9, trips)
         assert p9 < p8
 
     def test_positive_and_finite(self):
         for build in (build_vecadd, build_gemm, build_colwise, build_rowwise):
-            c = machine_cycles_per_iter(build(), POWER9, FIXED_TRIPS(64))
+            c = machine_cycles_per_iter(
+                _attrs(build), POWER9, FIXED_TRIPS(64)
+            )
             assert 0 < c < 1e9
 
 

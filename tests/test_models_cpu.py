@@ -14,7 +14,7 @@ def _predict(region, env, cpu=POWER9, num_threads=None):
     db = ProgramAttributeDatabase()
     bound = db.compile_region(region).bind(env)
     return predict_cpu_time(
-        region,
+        bound.attributes,
         bound.loadout,
         bound.parallel_iterations,
         cpu,
@@ -79,7 +79,7 @@ class TestLiaoModel:
         db = ProgramAttributeDatabase()
         attrs = db.compile_region(region)
         pred = predict_cpu_time(
-            region, attrs.static_loadout, 1100, POWER9, env=None
+            attrs, attrs.static_loadout, 1100, POWER9, env=None
         )
         assert pred.seconds > 0
 

@@ -103,13 +103,14 @@ def test_generated_regions_analyse(region):
 @given(region=regions())
 @settings(max_examples=12, deadline=None)
 def test_generated_regions_simulate_and_predict(region):
-    cpu = simulate_cpu(region, POWER9, ENV)
-    gpu = simulate_gpu_kernel(region, TESLA_V100, ENV)
+    db = ProgramAttributeDatabase()
+    attrs = db.compile_region(region)
+    cpu = simulate_cpu(attrs, POWER9, ENV)
+    gpu = simulate_gpu_kernel(attrs, TESLA_V100, ENV)
     assert 0 < cpu.seconds < 10
     assert 0 < gpu.seconds < 10
 
-    db = ProgramAttributeDatabase()
-    bound = db.compile_region(region).bind(ENV)
+    bound = attrs.bind(ENV)
     sel = predict_both(bound, PLATFORM_P9_V100)
     assert 0 < sel.cpu.seconds < 100
     assert 0 < sel.gpu.seconds < 100

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis import ProgramAttributeDatabase, nest_trips, extract_loadout
+from repro.analysis import (
+    ProgramAttributeDatabase,
+    compile_attributes,
+    extract_loadout,
+    nest_trips,
+)
 from repro.ir import (
     ReduceStore,
     Region,
@@ -132,7 +137,7 @@ class TestModelling:
         db = ProgramAttributeDatabase()
         bound = db.compile_region(region).bind({"n": 100_000})
         pred = predict_cpu_time(
-            region, bound.loadout, bound.parallel_iterations, POWER9, env={"n": 100_000}
+            bound.attributes, bound.loadout, bound.parallel_iterations, POWER9, env={"n": 100_000}
         )
         assert pred.reduction_cycles > 0
         assert "Reduction_c" in pred.breakdown()
@@ -148,15 +153,15 @@ class TestModelling:
         db = ProgramAttributeDatabase()
         bound = db.compile_region(region).bind({"n": 1000})
         pred = predict_cpu_time(
-            region, bound.loadout, bound.parallel_iterations, POWER9, env={"n": 1000}
+            bound.attributes, bound.loadout, bound.parallel_iterations, POWER9, env={"n": 1000}
         )
         assert pred.reduction_cycles == 0.0
 
     def test_simulators_accept_reductions(self):
-        region = build_dot()
+        attrs = compile_attributes(build_dot())
         env = {"n": 1 << 22}
-        cpu = simulate_cpu(region, POWER9, env)
-        gpu = simulate_gpu_kernel(region, TESLA_V100, env)
+        cpu = simulate_cpu(attrs, POWER9, env)
+        gpu = simulate_gpu_kernel(attrs, TESLA_V100, env)
         assert cpu.seconds > 0 and gpu.seconds > 0
 
     def test_end_to_end_selection(self):

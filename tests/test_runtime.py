@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import compile_attributes
 from repro.machines import PLATFORM_P8_K80, PLATFORM_P9_V100
 from repro.runtime import (
     AcceleratorDevice,
@@ -22,14 +23,14 @@ ENV = {"ni": 512, "nj": 512, "nk": 512}
 class TestDevices:
     def test_host_device(self):
         dev = HostDevice(PLATFORM_P9_V100.host, num_threads=4)
-        rec = dev.execute(build_gemm(), ENV)
+        rec = dev.execute(compile_attributes(build_gemm()), ENV)
         assert rec.kind == "cpu"
         assert rec.seconds > 0
         assert "x4" in dev.name
 
     def test_accelerator_device(self):
         dev = AcceleratorDevice(PLATFORM_P9_V100.gpu, PLATFORM_P9_V100.bus)
-        rec = dev.execute(build_gemm(), ENV)
+        rec = dev.execute(compile_attributes(build_gemm()), ENV)
         assert rec.kind == "gpu"
         kernel, xfer = rec.detail
         assert rec.seconds == pytest.approx(kernel.seconds + xfer.total_seconds)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ProgramAttributeDatabase
+from repro.analysis import ProgramAttributeDatabase, compile_attributes
 from repro.codegen import OMPSchedule
 from repro.machines import POWER9
 from repro.models import predict_cpu_time
@@ -21,10 +21,10 @@ class TestDynamicSchedule:
         env = {"n": 100_000}
         bound = _bound(env)
         static = predict_cpu_time(
-            bound.region, bound.loadout, 100_000, POWER9, env=env
+            bound.attributes, bound.loadout, 100_000, POWER9, env=env
         )
         dynamic = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             100_000,
             POWER9,
@@ -40,10 +40,10 @@ class TestDynamicSchedule:
         env = {"n": 100_000}
         bound = _bound(env)
         static = predict_cpu_time(
-            bound.region, bound.loadout, 100_000, POWER9, env=env
+            bound.attributes, bound.loadout, 100_000, POWER9, env=env
         )
         coarse = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             100_000,
             POWER9,
@@ -54,11 +54,11 @@ class TestDynamicSchedule:
         assert coarse.seconds < static.seconds * 1.5
 
     def test_simulator_mirrors_schedule_cost(self):
-        region = build_vecadd()
+        attrs = compile_attributes(build_vecadd())
         env = {"n": 200_000}
-        static = simulate_cpu(region, POWER9, env)
+        static = simulate_cpu(attrs, POWER9, env)
         fine = simulate_cpu(
-            region, POWER9, env, schedule=OMPSchedule.DYNAMIC, chunk_size=4
+            attrs, POWER9, env, schedule=OMPSchedule.DYNAMIC, chunk_size=4
         )
         assert fine.seconds > static.seconds
 
@@ -67,7 +67,7 @@ class TestDynamicSchedule:
         bound = _bound(env)
         chunk = 100
         pred = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             160_000,
             POWER9,

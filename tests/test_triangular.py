@@ -8,7 +8,7 @@ triangular nests through nest-aware midpoint trip resolution.
 import numpy as np
 import pytest
 
-from repro.analysis import ProgramAttributeDatabase, nest_trips
+from repro.analysis import ProgramAttributeDatabase, compile_attributes, nest_trips
 from repro.ir import Loop, Region, validate_region
 from repro.machines import PLATFORM_P9_V100, POWER9, TESLA_V100
 from repro.runtime import ModelGuided, OffloadingRuntime
@@ -97,16 +97,16 @@ class TestTriangularExecution:
                     assert got[j1, j2] == 0.0
 
     def test_simulators_accept_triangular(self):
-        region = build_triangular()
+        attrs = compile_attributes(build_triangular())
         env = {"n": 1024, "m": 1024}
-        cpu = simulate_cpu(region, POWER9, env)
-        gpu = simulate_gpu_kernel(region, TESLA_V100, env)
+        cpu = simulate_cpu(attrs, POWER9, env)
+        gpu = simulate_gpu_kernel(attrs, TESLA_V100, env)
         assert cpu.seconds > 0 and gpu.seconds > 0
 
     def test_triangular_is_half_the_rectangular_work(self):
         tri = build_triangular("tri_h")
         env = {"n": 2048, "m": 2048}
-        tri_time = simulate_cpu(tri, POWER9, env).seconds
+        tri_time = simulate_cpu(compile_attributes(tri), POWER9, env).seconds
 
         rect = Region("rect_h")
         n, m = rect.param_tuple("n", "m")
@@ -118,7 +118,7 @@ class TestTriangularExecution:
                 with rect.loop("i", n) as i:
                     rect.assign(acc, acc + data[i, j1] * data[i, j2])
                 rect.store(sym[j1, j2], acc)
-        rect_time = simulate_cpu(rect, POWER9, env).seconds
+        rect_time = simulate_cpu(compile_attributes(rect), POWER9, env).seconds
         assert tri_time == pytest.approx(rect_time / 2, rel=0.25)
 
     def test_full_runtime_pipeline(self):
